@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -348,9 +347,6 @@ def _build_parser():
 
 
 def run(argv=None) -> int:
-    # CSLBEC_THREADS bounds any worker pool; all current paths are
-    # single-threaded, so it only caps numpy-level threading intent.
-    os.environ.setdefault("CSLBEC_THREADS", "1")
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -55,6 +55,12 @@ class CslPoint:
     lam: float  # collapse rate, Hz, referenced to 1 u
     rc: float   # localization length, m
 
+    def __post_init__(self):
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
+        if not (math.isfinite(self.rc) and self.rc > 0):
+            raise ValueError(f"rc must be finite and > 0, got {self.rc!r}")
+
 
 @dataclass(frozen=True)
 class Species:
@@ -133,19 +139,14 @@ class ExperimentSpec:
         return self.state.xi0 ** 2 / self.state.n_atoms
 
 
-def validate(spec: ExperimentSpec, point: CslPoint | None = None) -> list:
+def validate(spec: ExperimentSpec) -> list:
     """Collect every violated invariant as a message; never raises.
 
     Soft conditions (MZI separation regime, echo with zero dispersion) emit
-    a ``UserWarning`` instead of a violation.
+    a ``UserWarning`` instead of a violation.  ``CslPoint`` checks its own
+    fields on construction.
     """
     v = []
-
-    if point is not None:
-        if point.lam < 0:
-            v.append("lambda must be nonnegative")
-        if point.rc <= 0:
-            v.append("rc must be positive")
 
     if spec.species.mass_u <= 0:
         v.append("mass_u must be positive")

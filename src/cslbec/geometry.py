@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .core import MziGeometry, SwiGeometry
 
@@ -206,18 +205,19 @@ def f_quadrature(overlaps: OverlapMatrix, rc: float,
 def optimal_rc(geometry: SwiGeometry) -> float:
     """Localization length maximizing the diffusion factor f_S.
 
-    Derivative-free bounded search on log(rc) over [x0/100, 100*x0]; the
-    objective is unimodal for the single-well mode pair.
+    With s = rc^2, d ln f_S / ds = 0 is the quadratic
+
+        2 s^2 - (x0^2 - w_y^2) s - 2 x0^2 w_y^2 = 0,
+
+    whose single positive root is the maximum: rc = x0/sqrt(2) for
+    w_y -> 0, sqrt(2/3) x0 at w_y = x0/sqrt(6), sqrt(2) x0 for w_y -> inf.
+    For x0 < w_y the root is taken in the form free of cancellation.
     """
-    x0 = geometry.x0
-
-    def neg_fs(log_rc):
-        return -f_closed(geometry, math.exp(log_rc)).f_s
-
-    res = minimize_scalar(
-        neg_fs,
-        bounds=(math.log(x0 / 100.0), math.log(100.0 * x0)),
-        method="bounded",
-        options={"xatol": 1e-8},
-    )
-    return math.exp(res.x)
+    x0_sq, wy_sq = geometry.x0 ** 2, geometry.w_y ** 2
+    a = x0_sq - wy_sq
+    disc = math.hypot(a, 4.0 * geometry.x0 * geometry.w_y)
+    if a >= 0.0:
+        s = (a + disc) / 4.0
+    else:
+        s = 4.0 * x0_sq * wy_sq / (disc - a)
+    return math.sqrt(s)

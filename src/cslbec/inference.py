@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExperimentSpec, CslPoint
+from .core import ExperimentSpec, CslPoint, MziGeometry
 from .dynamics import count_distribution
 from .geometry import f_closed
 
@@ -77,9 +77,13 @@ def variance_split(spec: ExperimentSpec, rc: float, mode: str,
     Collapse slope: 2 (m/u)^2 t [f_P + (N^2/6) zeta^2 t^2 f_S] for the
     plain modes, 2 (m/u)^2 t (N^2/24) zeta^2 t^2 f_S for the echo mode
     (whose dephasing term is dropped as a conservative simplification).
+    The SWI modes need an SWI geometry: MZI modes do not overlap.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    if mode != "mzi" and isinstance(spec.geometry, MziGeometry):
+        raise ValueError(f"mode {mode!r} requires an SWI geometry, "
+                         "got an MZI geometry")
     n = spec.state.n_atoms
     t = spec.protocol.t
     zeta = spec.protocol.zeta

@@ -33,8 +33,7 @@ __all__ = [
     "dicke_phase_variance",
 ]
 
-_BLOCK = 4096  # trajectories per RNG stream; fixed so results never depend
-               # on worker count or scheduling
+_BLOCK = 4096  # trajectories per RNG stream
 
 
 @dataclass(frozen=True)

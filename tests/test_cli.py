@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -265,3 +268,41 @@ class TestExitCodes:
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit):
             cli.run(["bound", "--scenario", "rb-mzi", "--frobnicate"])
+
+    @pytest.mark.parametrize("mode", ["swi_plain", "swi_echo"])
+    def test_swi_mode_on_mzi_geometry_is_config_error(self, capsys, mode):
+        code, out, err = run_capture(
+            capsys, ["bound", "--scenario", "rb-mzi", "--mode", mode])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "SWI geometry" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value", [("--lambda-hz", "nan"),
+                                             ("--lambda-hz", "inf"),
+                                             ("--lambda-hz", "-1e-3"),
+                                             ("--rc-m", "nan")])
+    def test_bad_csl_point_is_config_error(self, capsys, flag, value):
+        point = {"--lambda-hz": "1e-10", "--rc-m": "1e-6", flag: value}
+        code, out, err = run_capture(
+            capsys, ["variance", "--scenario", "rb-swi"]
+            + [f"{k}={v}" for k, v in point.items()])
+        assert code == 2
+        assert out == ""
+        field = "lam" if flag == "--lambda-hz" else "rc"
+        assert err.startswith(f"error: {field} must be finite")
+
+
+class TestColdStart:
+    def test_import_does_not_load_scipy(self):
+        # every CLI call is a fresh process; scipy is a test-only dependency
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, cslbec, cslbec.cli; "
+             "assert 'scipy' not in sys.modules, "
+             "sorted(m for m in sys.modules if m.startswith('scipy'))"],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

@@ -61,13 +61,20 @@ class TestValidate:
     def test_valid_spec(self):
         assert validate(make_spec()) == []
 
+    # a CSL point checks its own fields, so no invalid one reaches validate
     def test_rc_zero(self):
-        v = validate(make_spec(), point=CslPoint(lam=1e-10, rc=0.0))
-        assert any("rc must be positive" in msg for msg in v)
+        with pytest.raises(ValueError, match="rc must be finite and > 0"):
+            CslPoint(lam=1e-10, rc=0.0)
 
     def test_negative_lambda(self):
-        v = validate(make_spec(), point=CslPoint(lam=-1.0, rc=1e-7))
-        assert any("lambda" in msg for msg in v)
+        with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+            CslPoint(lam=-1.0, rc=1e-7)
+
+    @pytest.mark.parametrize("lam, rc", [(math.nan, 1e-7), (math.inf, 1e-7),
+                                         (1e-10, math.nan), (1e-10, math.inf)])
+    def test_nonfinite_point(self, lam, rc):
+        with pytest.raises(ValueError, match="must be finite"):
+            CslPoint(lam=lam, rc=rc)
 
     def test_xi_t_below_xi0(self):
         v = validate(make_spec(xi_t=0.5, state=InitialState(300_000, 1.0)))

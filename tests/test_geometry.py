@@ -222,6 +222,18 @@ class TestOptimalRc:
         assert best >= f_closed(SWI, 0.99 * rc).f_s
         assert best >= f_closed(SWI, 1.01 * rc).f_s
 
+    @pytest.mark.parametrize("ratio", [0.0, 0.1, 1.0 / math.sqrt(6.0), 1.0,
+                                       50.0])
+    def test_argmax_of_closed_form(self, ratio):
+        # w_y/x0 on both sides of 1 exercises both forms of the root
+        g = SwiGeometry(x0=SWI.x0, w_y=ratio * SWI.x0)
+        lo, hi = 1e-2 * g.x0, 1e2 * g.x0
+        for _ in range(4):
+            grid = np.geomspace(lo, hi, 201)
+            i = int(np.argmax([f_closed(g, rc).f_s for rc in grid]))
+            lo, hi = grid[max(i - 2, 0)], grid[min(i + 2, grid.size - 1)]
+        assert optimal_rc(g) == pytest.approx(grid[i], rel=1e-6)
+
     def test_general_w_y_numerical_optimum(self):
         g = SwiGeometry(x0=0.5e-6, w_y=0.3e-6)
         rc = optimal_rc(g)
