@@ -66,8 +66,9 @@ def _parse_grid(text: str, linear: bool) -> np.ndarray:
         raise core.SpecError(
             f"grid must be min:max:points, got {text!r}"
         ) from exc
-    if not (lo < hi and pts >= 2):
-        raise core.SpecError("grid requires min < max and points >= 2")
+    if not (lo < hi and pts >= 2 and math.isfinite(lo) and math.isfinite(hi)):
+        raise core.SpecError(
+            f"grid requires finite min < max and points >= 2, got {text!r}")
     if linear:
         return np.linspace(lo, hi, pts)
     if lo <= 0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 
 __all__ = [
     "HBAR",
@@ -139,14 +139,30 @@ class ExperimentSpec:
         return self.state.xi0 ** 2 / self.state.n_atoms
 
 
+def _float_fields(obj, prefix: str = ""):
+    """(dotted name, value) of every float field, nested dataclasses too."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _float_fields(value, f"{prefix}{f.name}.")
+        elif isinstance(value, float):
+            yield prefix + f.name, value
+
+
 def validate(spec: ExperimentSpec) -> list:
     """Collect every violated invariant as a message; never raises.
 
-    Soft conditions (MZI separation regime, echo with zero dispersion) emit
-    a ``UserWarning`` instead of a violation.  ``CslPoint`` checks its own
+    A NaN or infinite number gives one violation per field, and then the
+    range checks are skipped: they mean nothing for such values.  Soft
+    conditions (MZI separation regime, echo with zero dispersion) emit a
+    ``UserWarning`` instead of a violation.  ``CslPoint`` checks its own
     fields on construction.
     """
-    v = []
+    v = [f"{name} must be finite, got {value!r}"
+         for name, value in _float_fields(spec)
+         if not math.isfinite(value)]
+    if v:
+        return v
 
     if spec.species.mass_u <= 0:
         v.append("mass_u must be positive")
@@ -223,6 +239,15 @@ def _require(d: dict, key: str, context: str):
     return d[key]
 
 
+def _integral(value, name: str) -> int:
+    """An integral JSON number (3 or 3.0); bools and 2.9 are SpecErrors."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SpecError(f"{name} must be an integral number, got {value!r}")
+    return value
+
+
 def spec_from_dict(d: dict) -> ExperimentSpec:
     """Build an ExperimentSpec from the strict unit-suffixed JSON schema."""
     if not isinstance(d, dict):
@@ -259,7 +284,7 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
     st = _require(d, "state", "spec")
     _check_keys(st, {"n_atoms", "xi0", "sigma_n0"}, "state")
     state = InitialState(
-        int(_require(st, "n_atoms", "state")),
+        _integral(_require(st, "n_atoms", "state"), "state.n_atoms"),
         float(_require(st, "xi0", "state")),
         float(st["sigma_n0"]) if "sigma_n0" in st else None,
     )
@@ -270,10 +295,13 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
         {"t_s", "zeta_rad_s", "echo", "phase_mean_rad", "epsilon_over_hbar_rad_s"},
         "protocol",
     )
+    echo = pr.get("echo", False)
+    if not isinstance(echo, bool):
+        raise SpecError(f"protocol.echo must be a JSON boolean, got {echo!r}")
     protocol = Protocol(
         t=float(_require(pr, "t_s", "protocol")),
         zeta=float(pr.get("zeta_rad_s", 0.0)),
-        echo=bool(pr.get("echo", False)),
+        echo=echo,
         phase_mean=float(pr.get("phase_mean_rad", 0.0)),
         epsilon_over_hbar=float(pr.get("epsilon_over_hbar_rad_s", 0.0)),
     )

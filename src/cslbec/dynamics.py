@@ -48,11 +48,16 @@ class PhaseMoments:
     valid: bool = True  # False once sqrt(variance) > pi/3
 
 
-def rates(point: CslPoint, species: Species, geometry) -> Rates:
+def collapse_rates(lam, species: Species, f_p, f_s) -> Rates:
     """Gamma_P = 2 lambda (m/u)^2 f_P, Gamma_S = 2 lambda (m/u)^2 f_S."""
+    amp = 2.0 * lam * species.mass_u ** 2
+    return Rates(gamma_p=amp * f_p, gamma_s=amp * f_s)
+
+
+def rates(point: CslPoint, species: Species, geometry) -> Rates:
+    """Rates at a CSL point from the closed-form geometry factors."""
     f = f_closed(geometry, point.rc)
-    amp = 2.0 * point.lam * species.mass_u ** 2
-    return Rates(gamma_p=amp * f.f_p, gamma_s=amp * f.f_s)
+    return collapse_rates(point.lam, species, f.f_p, f.f_s)
 
 
 @dataclass(frozen=True)
@@ -93,25 +98,32 @@ class GaussianCharacteristic:
         return GaussianCharacteristic(var_phi, cov, var_n)
 
 
-def _initial_characteristic(spec: ExperimentSpec) -> GaussianCharacteristic:
-    return GaussianCharacteristic(
-        var_phi=spec.sigma_phi0_sq,
-        cov=0.0,
-        var_n=spec.state.sigma_n0 ** 2,
-    )
+def propagator_parts(spec: ExperimentSpec, r: Rates) -> tuple:
+    """(initial, collapse) parts of the evolved quadratic form, which add.
+
+    The initial covariance goes once through the net dispersion shear
+    sum_k zeta_k tau_k, exactly 0.0 for the echo, so no cancellation is
+    left in its initial part.  The collapse noise accumulates leg by leg
+    from zero; it is linear in the rates, which may be arrays.
+    """
+    p = spec.protocol
+    legs = (((p.zeta, p.t / 2.0), (-p.zeta, p.t / 2.0)) if p.echo
+            else ((p.zeta, p.t),))
+    shear = sum(zeta * tau for zeta, tau in legs)
+    var_n = spec.state.sigma_n0 ** 2
+    initial = GaussianCharacteristic(spec.sigma_phi0_sq + var_n * shear ** 2,
+                                     var_n * shear, var_n)
+    noise = GaussianCharacteristic(0.0, 0.0, 0.0)
+    for zeta, tau in legs:
+        noise = noise.evolve(zeta, tau, r, spec.state.n_atoms)
+    return initial, noise
 
 
 def _evolved_characteristic(spec: ExperimentSpec, point: CslPoint
                             ) -> GaussianCharacteristic:
-    r = rates(point, spec.species, spec.geometry)
-    n, p = spec.state.n_atoms, spec.protocol
-    chi = _initial_characteristic(spec)
-    if p.echo:
-        chi = chi.evolve(p.zeta, p.t / 2.0, r, n)
-        chi = chi.evolve(-p.zeta, p.t / 2.0, r, n)
-    else:
-        chi = chi.evolve(p.zeta, p.t, r, n)
-    return chi
+    a, b = propagator_parts(spec, rates(point, spec.species, spec.geometry))
+    return GaussianCharacteristic(a.var_phi + b.var_phi, a.cov + b.cov,
+                                  a.var_n + b.var_n)
 
 
 def phase_variance(spec: ExperimentSpec, point: CslPoint) -> PhaseMoments:
@@ -155,11 +167,11 @@ def echo_characteristic_closed(spec: ExperimentSpec, point: CslPoint
     r = rates(point, spec.species, spec.geometry)
     n, p = spec.state.n_atoms, spec.protocol
     d = n ** 2 * r.gamma_s * p.t / 2.0
-    chi0 = _initial_characteristic(spec)
     return GaussianCharacteristic(
-        var_phi=chi0.var_phi + r.gamma_p * p.t + d * p.zeta ** 2 * p.t ** 2 / 12.0,
-        cov=chi0.cov - d * p.zeta * p.t / 4.0,
-        var_n=chi0.var_n + d,
+        var_phi=spec.sigma_phi0_sq + r.gamma_p * p.t
+        + d * p.zeta ** 2 * p.t ** 2 / 12.0,
+        cov=-d * p.zeta * p.t / 4.0,
+        var_n=spec.state.sigma_n0 ** 2 + d,
     )
 
 

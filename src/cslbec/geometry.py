@@ -107,26 +107,41 @@ class GeometryFactors:
     rc: float
 
 
-def f_closed(geometry, rc: float) -> GeometryFactors:
-    """Closed-form geometry factors at localization length rc."""
-    if rc <= 0:
-        raise ValueError("rc must be positive")
+def _checked_rc(rc) -> np.ndarray:
+    """rc as a float array, at least 1-D; ValueError unless finite and > 0."""
+    r = np.atleast_1d(np.asarray(rc, dtype=float))
+    bad = ~(np.isfinite(r) & (r > 0))
+    if bad.any():
+        raise ValueError(f"rc must be finite and > 0, got {float(r[bad][0])!r}")
+    return r
+
+
+def f_closed(geometry, rc) -> GeometryFactors:
+    """Closed-form geometry factors at localization length rc.
+
+    ``rc`` may be an array, giving array factors; a scalar gives floats.
+    Scalars run through the same array arithmetic, so both agree bit for bit.
+    """
+    r = _checked_rc(rc)
     if isinstance(geometry, MziGeometry):
         if not math.isclose(geometry.w_x, geometry.w_y, rel_tol=1e-12):
             raise ValueError(
                 "closed form for MZI requires w_x = w_y; use f_quadrature"
             )
         wx, dx = geometry.w_x, geometry.delta_x
-        f_p = (-math.expm1(-dx ** 2 / (4.0 * (wx ** 2 + rc ** 2)))) \
-            / (1.0 + wx ** 2 / rc ** 2)
-        return GeometryFactors(f_p=f_p, f_s=0.0, rc=rc)
-    if isinstance(geometry, SwiGeometry):
+        f_p = (-np.expm1(-dx ** 2 / (4.0 * (wx ** 2 + r ** 2)))) \
+            / (1.0 + wx ** 2 / r ** 2)
+        f_s = np.zeros_like(f_p)
+    elif isinstance(geometry, SwiGeometry):
         x0, wy = geometry.x0, geometry.w_y
-        root = math.sqrt(rc ** 2 + wy ** 2)
-        f_s = rc ** 2 * x0 ** 2 / (root * (rc ** 2 + x0 ** 2) ** 1.5)
-        f_p = 3.0 * rc ** 2 * x0 ** 4 / (8.0 * root * (rc ** 2 + x0 ** 2) ** 2.5)
-        return GeometryFactors(f_p=f_p, f_s=f_s, rc=rc)
-    raise TypeError("geometry must be MziGeometry or SwiGeometry")
+        root = np.sqrt(r ** 2 + wy ** 2)
+        f_s = r ** 2 * x0 ** 2 / (root * (r ** 2 + x0 ** 2) ** 1.5)
+        f_p = 3.0 * r ** 2 * x0 ** 4 / (8.0 * root * (r ** 2 + x0 ** 2) ** 2.5)
+    else:
+        raise TypeError("geometry must be MziGeometry or SwiGeometry")
+    if np.ndim(rc) == 0:
+        return GeometryFactors(f_p=float(f_p[0]), f_s=float(f_s[0]), rc=rc)
+    return GeometryFactors(f_p=f_p, f_s=f_s, rc=r)
 
 
 # --- quadrature -------------------------------------------------------------
@@ -188,8 +203,7 @@ def f_quadrature(overlaps: OverlapMatrix, rc: float,
     Computes each axis with the working rule and a refined rule; raises
     QuadratureError if the two disagree beyond ``rel_tol`` relatively.
     """
-    if rc <= 0:
-        raise ValueError("rc must be positive")
+    _checked_rc(rc)
     f_p, f_s = _quad_once(overlaps, rc, refine=False)
     f_p2, f_s2 = _quad_once(overlaps, rc, refine=True)
     for a, b, label in ((f_p, f_p2, "f_p"), (f_s, f_s2, "f_s")):

@@ -3,18 +3,21 @@
 The forward model is linear in the collapse rate,
 sigma_phi^2(t) = sigma_conv^2(t) + alpha_csl^2(t) * lambda, so bound
 extraction is a one-line inversion and the Fisher information of the
-Gaussian count distribution has a closed form.
+Gaussian count distribution has a closed form.  Both terms are read off
+the propagator in :mod:`cslbec.dynamics`; the f_P = 1 plateau cap and the
+echo mode's dropped dephasing term are geometry-factor choices made in
+one place, ``_factors``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import ExperimentSpec, CslPoint, MziGeometry
-from .dynamics import count_distribution
+from .dynamics import collapse_rates, count_distribution, propagator_parts
 from .geometry import f_closed
 
 __all__ = [
@@ -61,46 +64,45 @@ class RepetitionEstimate:
     lambda_min: float
 
 
-def _f_factors(spec: ExperimentSpec, rc: float, fp_cap_one: bool):
+def _factors(spec: ExperimentSpec, rc, mode: str, fp_cap_one: bool):
+    """(f_P, f_S) for the inference: closed forms, f_P = 1 under the plateau
+    cap, f_P = 0 in echo mode (dephasing dropped to stay conservative)."""
     f = f_closed(spec.geometry, rc)
-    f_p = 1.0 if fp_cap_one else f.f_p
+    f_p = 0.0 if mode == "swi_echo" else 1.0 if fp_cap_one else f.f_p
     return f_p, f.f_s
 
 
-def variance_split(spec: ExperimentSpec, rc: float, mode: str,
+def variance_split(spec: ExperimentSpec, rc, mode: str,
                    fp_cap_one: bool = False,
                    include_noise: bool = False) -> VarianceSplit:
     """Split the phase variance into conventional and collapse terms.
 
-    Conventional part: xi0^2/N + zeta^2 t^2 sigma_n0^2 (dispersion term
-    absent for the echo mode), plus 2*gamma*t when ``include_noise``.
-    Collapse slope: 2 (m/u)^2 t [f_P + (N^2/6) zeta^2 t^2 f_S] for the
-    plain modes, 2 (m/u)^2 t (N^2/24) zeta^2 t^2 f_S for the echo mode
-    (whose dephasing term is dropped as a conservative simplification).
-    The SWI modes need an SWI geometry: MZI modes do not overlap.
+    Both are the forward model's propagator parts, run with the protocol
+    the mode names (two legs for ``swi_echo``): the initial part, plus
+    2*gamma*t when ``include_noise``, and the collapse part at lambda = 1
+    with the factors of ``_factors``.  ``rc`` may be an array.  The SWI
+    modes need an SWI geometry: MZI modes do not overlap.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if mode != "mzi" and isinstance(spec.geometry, MziGeometry):
         raise ValueError(f"mode {mode!r} requires an SWI geometry, "
                          "got an MZI geometry")
-    n = spec.state.n_atoms
-    t = spec.protocol.t
-    zeta = spec.protocol.zeta
-    f_p, f_s = _f_factors(spec, rc, fp_cap_one)
-    mass_sq = spec.species.mass_u ** 2
-
-    conv = spec.sigma_phi0_sq
-    if mode != "swi_echo":
-        conv += zeta ** 2 * t ** 2 * spec.state.sigma_n0 ** 2
+    f_p, f_s = _factors(spec, rc, mode, fp_cap_one)
+    spec = replace(spec, protocol=replace(spec.protocol,
+                                          echo=mode == "swi_echo"))
+    initial, slope = propagator_parts(
+        spec, collapse_rates(1.0, spec.species, f_p, f_s))
+    conv = initial.var_phi
     if include_noise:
-        conv += 2.0 * spec.noise.gamma * t
+        conv += 2.0 * spec.noise.gamma * spec.protocol.t
+    return VarianceSplit(sigma_conv_sq=conv, alpha_csl_sq=slope.var_phi)
 
-    if mode == "swi_echo":
-        slope = 2.0 * mass_sq * t * (n ** 2 * zeta ** 2 * t ** 2 / 24.0) * f_s
-    else:
-        slope = 2.0 * mass_sq * t * (f_p + (n ** 2 / 6.0) * zeta ** 2 * t ** 2 * f_s)
-    return VarianceSplit(sigma_conv_sq=conv, alpha_csl_sq=slope)
+
+def _excess(spec: ExperimentSpec, split: VarianceSplit) -> float:
+    if spec.xi_t is None:
+        raise ValueError("spec has no observed xi_t")
+    return spec.xi_t ** 2 / spec.state.n_atoms - split.sigma_conv_sq
 
 
 def lambda_bound(spec: ExperimentSpec, rc: float, mode: str,
@@ -111,10 +113,8 @@ def lambda_bound(spec: ExperimentSpec, rc: float, mode: str,
     ExcessVarianceError when the observed spread is below the conventional
     prediction (negative excess signals an inconsistent spec, not a bound).
     """
-    if spec.xi_t is None:
-        raise ValueError("spec has no observed xi_t")
     split = variance_split(spec, rc, mode, fp_cap_one=fp_cap_one)
-    excess = spec.xi_t ** 2 / spec.state.n_atoms - split.sigma_conv_sq
+    excess = _excess(spec, split)
     if excess < 0:
         raise ExcessVarianceError(
             "observed spread below conventional prediction"
@@ -129,15 +129,14 @@ def lambda_bound(spec: ExperimentSpec, rc: float, mode: str,
 def exclusion_curve(spec: ExperimentSpec, mode: str, rc_grid,
                     fp_cap_one: bool = False,
                     label: str = "") -> ExclusionCurve:
-    """lambda_bound per grid point; failures become NaN gaps, not aborts."""
+    """lambda_bound over the grid; NaN where lambda_bound would raise."""
     rc_grid = np.asarray(rc_grid, dtype=float)
-    out = np.full(rc_grid.shape, np.nan)
-    for i, rc in enumerate(rc_grid):
-        try:
-            out[i] = lambda_bound(spec, rc, mode, fp_cap_one=fp_cap_one)
-        except (ExcessVarianceError, ZeroDivisionError):
-            pass
-    return ExclusionCurve(label=label, rc=rc_grid, lambda_bound=out)
+    split = variance_split(spec, rc_grid, mode, fp_cap_one=fp_cap_one)
+    excess = _excess(spec, split)
+    bound = np.divide(excess, split.alpha_csl_sq,
+                      out=np.full(rc_grid.shape, np.nan),
+                      where=(excess >= 0) & (split.alpha_csl_sq > 0.0))
+    return ExclusionCurve(label=label, rc=rc_grid, lambda_bound=bound)
 
 
 def fisher_information(split: VarianceSplit, lam: float) -> float:
@@ -219,17 +218,12 @@ def calibrate_estimator(spec: ExperimentSpec, rc: float, mode: str,
     phase = spec.protocol.phase_mean
     cosp_sq = math.cos(phase) ** 2
 
-    dist = count_distribution(
-        spec, CslPoint(lam=lambda_true, rc=rc))
-    if fp_cap_one:
-        # keep the synthetic data consistent with the capped forward model
-        var_counts = n ** 2 * cosp_sq * (
-            split.sigma_conv_sq + split.alpha_csl_sq * lambda_true)
-    else:
-        var_counts = dist.variance
+    mean = count_distribution(spec, CslPoint(lam=lambda_true, rc=rc)).mean
+    var_counts = n ** 2 * cosp_sq * (
+        split.sigma_conv_sq + split.alpha_csl_sq * lambda_true)
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    samples = rng.normal(dist.mean, math.sqrt(var_counts), size=(n_meta, k))
+    samples = rng.normal(mean, math.sqrt(var_counts), size=(n_meta, k))
     s2 = np.var(samples, axis=1, ddof=1)
     sigma_phi_sq_hat = s2 / (n ** 2 * cosp_sq)
     lam_hat = (sigma_phi_sq_hat - split.sigma_conv_sq) / split.alpha_csl_sq

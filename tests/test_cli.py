@@ -1,10 +1,12 @@
 import csv
+import hashlib
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -291,6 +293,49 @@ class TestExitCodes:
         assert out == ""
         field = "lam" if flag == "--lambda-hz" else "rc"
         assert err.startswith(f"error: {field} must be finite")
+
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--scenario", "rb-swi", "--rc-m=nan"],
+        ["bound", "--scenario", "rb-mzi", "--rc-m=-inf"],
+        ["repetitions", "--scenario", "rb-swi", "--rc-m=inf"],
+        ["calibrate", "--scenario", "rb-swi-echo", "--rc-m=nan"],
+    ])
+    def test_nonfinite_rc_is_config_error(self, capsys, argv):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: rc must be finite and > 0")
+
+    @pytest.mark.parametrize("command, grid", [("curve", "1e-9:inf:4"),
+                                               ("curve", "nan:1e-3:4"),
+                                               ("geometry", "1e-9:inf:4")])
+    def test_nonfinite_grid_is_config_error(self, capsys, command, grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_capture(
+                capsys, [command, "--scenario", "rb-mzi", "--rc", grid])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: grid requires finite min < max")
+
+
+class TestByteStability:
+    # the CSV outputs the benchmark gates by sha256; recorded there once
+    REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             os.pardir, "bench", "reference.json")
+
+    @pytest.mark.parametrize("command", [
+        "curve --scenario rb-swi-echo --rc 1e-9:1e-3:200",
+        "geometry --scenario rb-swi --rc 1e-9:1e-3:50",
+        "geometry --scenario rb-mzi --rc 1e-9:1e-3:50",
+    ])
+    def test_csv_sha256_matches_reference(self, capsys, command):
+        with open(self.REFERENCE, encoding="utf-8") as f:
+            expected = json.load(f)["cli-session"][command]["sha256"]
+        code, out, _ = run_capture(capsys, command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
 
 
 class TestColdStart:

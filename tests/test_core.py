@@ -35,6 +35,25 @@ def make_spec(**kw):
     return ExperimentSpec(**defaults)
 
 
+# one float field per group, set to a given value
+NONFINITE_SPECS = {
+    "species.mass_u": lambda x: make_spec(species=Species("x", x)),
+    "geometry.delta_x": lambda x: make_spec(
+        geometry=MziGeometry(delta_x=x, w_x=100e-9)),
+    "geometry.x0": lambda x: make_spec(geometry=SwiGeometry(x0=x, w_y=4e-8)),
+    "state.xi0": lambda x: make_spec(
+        state=InitialState(300_000, x, sigma_n0=600.0)),
+    "state.sigma_n0": lambda x: make_spec(
+        state=InitialState(300_000, 0.9, sigma_n0=x)),
+    "protocol.t": lambda x: make_spec(protocol=Protocol(t=x)),
+    "protocol.zeta": lambda x: make_spec(protocol=Protocol(0.8, zeta=x)),
+    "protocol.phase_mean": lambda x: make_spec(
+        protocol=Protocol(0.8, phase_mean=x)),
+    "noise.gamma": lambda x: make_spec(noise=NoiseModel(gamma=x)),
+    "xi_t": lambda x: make_spec(xi_t=x),
+}
+
+
 class TestDefaults:
     def test_sigma_n0_minimum_uncertainty(self):
         spec = make_spec()
@@ -92,6 +111,13 @@ class TestValidate:
     def test_echo_without_zeta_warns(self):
         with pytest.warns(UserWarning, match="echo"):
             validate(make_spec(protocol=Protocol(t=1.0, echo=True)))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", sorted(NONFINITE_SPECS))
+    def test_nonfinite_field(self, name, value):
+        # exactly one violation, naming the field, and no range messages
+        assert validate(NONFINITE_SPECS[name](value)) == [
+            f"{name} must be finite, got {value!r}"]
 
     def test_nonpositive_time(self):
         v = validate(make_spec(protocol=Protocol(t=0.0)))
@@ -160,6 +186,29 @@ class TestSerialization:
         del d["species"]
         with pytest.raises(SpecError, match="species"):
             spec_from_dict(d)
+
+    @pytest.mark.parametrize("echo", ["false", "true", 0, 1, None])
+    def test_echo_must_be_boolean(self, echo):
+        d = spec_to_dict(make_spec())
+        d["protocol"]["echo"] = echo
+        with pytest.raises(SpecError, match="protocol.echo must be a JSON "
+                                            "boolean"):
+            spec_from_dict(d)
+
+    @pytest.mark.parametrize("n_atoms", [2.9, 3e5 + 0.5, True, "300000",
+                                         math.inf, math.nan])
+    def test_n_atoms_must_be_integral(self, n_atoms):
+        d = spec_to_dict(make_spec())
+        d["state"]["n_atoms"] = n_atoms
+        with pytest.raises(SpecError, match="state.n_atoms must be an "
+                                            "integral number"):
+            spec_from_dict(d)
+
+    def test_n_atoms_integral_float_accepted(self):
+        d = spec_to_dict(make_spec())
+        d["state"]["n_atoms"] = 3e5
+        n_atoms = spec_from_dict(d).state.n_atoms
+        assert n_atoms == 300_000 and isinstance(n_atoms, int)
 
     def test_load_spec(self, tmp_path):
         path = tmp_path / "spec.json"

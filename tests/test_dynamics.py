@@ -26,6 +26,7 @@ from cslbec.dynamics import (
     _evolved_characteristic,
 )
 from cslbec.geometry import f_closed
+from cslbec.scenarios import SCENARIOS
 
 OPT = math.sqrt(2.0 / 3.0)
 
@@ -266,6 +267,13 @@ class TestCharacteristicFunction:
         assert chi.var_n == pytest.approx(
             spec.state.sigma_n0 ** 2 + n ** 2 * r.gamma_s * t / 2.0,
             rel=1e-12)
+
+    def test_echo_intercept_is_exact(self):
+        # the net echo shear is exactly zero, so at lambda = 0 nothing of
+        # the ~8000 rad^2 mid-echo dispersion variance is left behind
+        sc = SCENARIOS["rb-swi-echo"]
+        moments = phase_variance(sc.spec, CslPoint(0.0, sc.rc))
+        assert moments.variance == sc.spec.sigma_phi0_sq
 
     def test_echo_with_zero_zeta_equals_plain(self):
         for lam in (0.0, 1e-14):

@@ -113,6 +113,28 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             f_closed(SWI, 0.0)
 
+    @pytest.mark.parametrize("rc", [math.nan, math.inf, -math.inf, -1e-6])
+    @pytest.mark.parametrize("evaluate", [
+        lambda rc: f_closed(SWI, rc),
+        lambda rc: f_closed(MZI, np.array([1e-6, rc])),
+        lambda rc: f_quadrature(overlap_swi(SWI), rc),
+    ], ids=["closed", "closed-array", "quadrature"])
+    def test_rejects_nonfinite_rc(self, evaluate, rc):
+        with pytest.raises(ValueError, match="rc must be finite and > 0"):
+            evaluate(rc)
+
+    @pytest.mark.parametrize("geom", [MZI, SWI], ids=["mzi", "swi"])
+    def test_array_matches_scalar(self, geom):
+        # 1e-160 reaches the underflow region where f vanishes
+        grid = np.concatenate([RC_GRID, np.geomspace(1e-160, 1e2, 301)])
+        f = f_closed(geom, grid)
+        assert f.f_p.shape == f.f_s.shape == grid.shape
+        scalar = [f_closed(geom, rc) for rc in grid]
+        assert all(type(s.f_p) is float and type(s.f_s) is float
+                   for s in scalar)
+        np.testing.assert_array_equal(f.f_p, [s.f_p for s in scalar])
+        np.testing.assert_array_equal(f.f_s, [s.f_s for s in scalar])
+
 
 class TestQuadratureAgreement:
     @pytest.mark.parametrize("geom,make_ov", [

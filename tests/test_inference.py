@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -82,10 +83,7 @@ class TestVarianceSplit:
         for sc, mode in cases:
             split = variance_split(sc.spec, sc.rc, mode)
             pv = phase_variance(sc.spec, CslPoint(0.0, sc.rc)).variance
-            # abs term absorbs float cancellation of the echo composition,
-            # whose intermediate dispersion variance is ~8000 rad^2
-            assert split.sigma_conv_sq == pytest.approx(pv, rel=1e-12,
-                                                        abs=1e-10)
+            assert split.sigma_conv_sq == pv
 
     @pytest.mark.parametrize("sc,mode", [(RB_MZI, "mzi"),
                                          (RB_SWI, "swi_plain")])
@@ -102,8 +100,6 @@ class TestVarianceSplit:
         # dephasing contribution 2 (m/u)^2 t f_P, dropped on purpose
         sc = RB_ECHO
         split = variance_split(sc.spec, sc.rc, "swi_echo")
-        # probe lambdas large enough that the slope contribution dominates
-        # the composition's float-cancellation noise (~4e-12 rad^2)
         l1, l2 = 1e-13, 1e-12
         v1 = phase_variance(sc.spec, CslPoint(l1, sc.rc)).variance
         v2 = phase_variance(sc.spec, CslPoint(l2, sc.rc)).variance
@@ -111,7 +107,7 @@ class TestVarianceSplit:
         f_p = f_closed(sc.spec.geometry, sc.rc).f_p
         dephasing = 2.0 * 86.909180 ** 2 * sc.spec.protocol.t * f_p
         assert forward - dephasing == pytest.approx(
-            split.alpha_csl_sq, rel=1e-8)
+            split.alpha_csl_sq, rel=1e-12)
         assert split.alpha_csl_sq < forward
 
     def test_noise_inflation(self):
@@ -236,6 +232,38 @@ class TestExclusionCurve:
         assert grid[max(i - 1, 0)] <= rc_star <= grid[min(i + 1, len(grid) - 1)]
         assert curve.lambda_bound[i] == pytest.approx(0.943e-16, rel=0.01)
 
+    @staticmethod
+    def assert_matches_pointwise(spec, mode, grid, fp_cap_one):
+        curve = exclusion_curve(spec, mode, grid, fp_cap_one=fp_cap_one)
+        expected = []
+        for rc in grid:
+            try:
+                expected.append(lambda_bound(spec, rc, mode,
+                                             fp_cap_one=fp_cap_one))
+            except (ExcessVarianceError, ZeroDivisionError):
+                expected.append(math.nan)
+        np.testing.assert_array_equal(curve.lambda_bound, expected)
+        return curve.lambda_bound
+
+    @pytest.mark.parametrize("fp_cap_one", [False, True])
+    @pytest.mark.parametrize("name", ["rb-mzi", "rb-swi", "cs-mzi",
+                                      "rb-swi-echo"])
+    def test_equals_pointwise_lambda_bound(self, name, fp_cap_one):
+        # below ~1e-158 m the SWI factors underflow to zero: no slope
+        sc = SCENARIOS[name]
+        grid = np.geomspace(1e-160, 1e-3, 300)
+        bounds = self.assert_matches_pointwise(sc.spec, sc.mode, grid,
+                                               fp_cap_one)
+        assert np.isfinite(bounds[-1])
+        if sc.mode == "swi_echo" or (sc.mode == "swi_plain"
+                                     and not fp_cap_one):
+            assert np.isnan(bounds[0])
+        # observed spread below the conventional one: no bound anywhere
+        narrow = replace(sc.spec, xi_t=0.9 * sc.spec.state.xi0)
+        bounds = self.assert_matches_pointwise(narrow, sc.mode, grid,
+                                               fp_cap_one)
+        assert np.all(np.isnan(bounds))
+
     def test_undefined_points_become_gaps(self):
         # echo inference with zeta = 0 has zero slope everywhere
         spec = ExperimentSpec(
@@ -246,8 +274,9 @@ class TestExclusionCurve:
             noise=NoiseModel(),
             xi_t=1.2,
         )
-        curve = exclusion_curve(spec, "swi_echo", np.geomspace(1e-8, 1e-6, 5))
-        assert np.all(np.isnan(curve.lambda_bound))
+        grid = np.geomspace(1e-8, 1e-6, 5)
+        bounds = self.assert_matches_pointwise(spec, "swi_echo", grid, False)
+        assert np.all(np.isnan(bounds))
 
 
 class TestRepetitions:
