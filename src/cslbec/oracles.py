@@ -7,8 +7,9 @@ Two oracles, deliberately sharing no code with :mod:`cslbec.dynamics`:
   in n, reproducing the Fokker-Planck coefficients Gamma_P/2 and
   N^2 Gamma_S/4);
 
-* a dense Dicke-basis integrator for the full collective-spin master
-  equation with J_z dephasing and J_x diffusion Lindblad channels.
+* a Dicke-basis integrator for the full collective-spin master equation
+  with J_z dephasing and J_x diffusion Lindblad channels, which works on
+  the tridiagonal band of J_x so that each step costs O(N^2).
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ class SdeMoments:
     t: float
     n_traj: int
     seed: int
+    max_step_phase: float  # |zeta| max|n| dt, the largest dispersion step
 
 
 def sde_sample(spec: ExperimentSpec, point: CslPoint, n_traj: int,
@@ -55,42 +57,52 @@ def sde_sample(spec: ExperimentSpec, point: CslPoint, n_traj: int,
 
     Initial (phi, n) are Gaussian with variances (xi0^2/N, sigma_n0^2).
     The echo protocol flips the sign of zeta for the second half of the
-    steps.  Trajectories are generated in fixed-size blocks, each from a
-    counter-based Philox stream keyed by ``seed ^ block_index``, so the
-    result is bitwise reproducible for a given (seed, n_traj, n_steps).
+    steps.  The phi collapse noise is additive at a constant rate and never
+    feeds back into n, so its n_steps increments sum exactly to one normal
+    of variance Gamma_P t, drawn once per trajectory after the initial
+    (phi, n); only the n channel is stepped.  Trajectories are generated in
+    fixed-size blocks, each from a counter-based Philox stream keyed by the
+    pair (seed, block index), so streams of different seeds never overlap
+    and the result is bitwise reproducible for a given
+    (seed, n_traj, n_steps).
     """
     if n_traj < 1000:
         raise ValueError("n_traj must be >= 1000")
     if n_steps < 1000:
         raise ValueError("n_steps must be >= 1000")
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 64:
+        raise ValueError(
+            f"seed must be an integer in [0, 2**64), got {seed!r}")
 
     r = rates(point, spec.species, spec.geometry)
     n_atoms = spec.state.n_atoms
     p = spec.protocol
     dt = p.t / n_steps
-    sig_phi = math.sqrt(r.gamma_p * dt)
+    sig_phi = math.sqrt(r.gamma_p * p.t)
     sig_n = math.sqrt(n_atoms ** 2 * r.gamma_s / 2.0 * dt)
 
     phi_all = np.empty(n_traj)
     max_abs_n = 0.0
-    for block in range(0, n_traj, _BLOCK):
-        m = min(_BLOCK, n_traj - block)
-        rng = np.random.Generator(np.random.Philox(key=seed ^ (block // _BLOCK)))
+    for block, start in enumerate(range(0, n_traj, _BLOCK)):
+        m = min(_BLOCK, n_traj - start)
+        key = np.array([seed, block], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
         phi = rng.normal(0.0, math.sqrt(spec.sigma_phi0_sq), size=m)
         n = rng.normal(0.0, spec.state.sigma_n0, size=m)
+        if sig_phi > 0.0:
+            phi += sig_phi * rng.standard_normal(m)
         for step in range(n_steps):
             zeta = p.zeta
             if p.echo and step >= n_steps // 2:
                 zeta = -p.zeta
             phi += zeta * n * dt
-            if sig_phi > 0.0:
-                phi += sig_phi * rng.standard_normal(m)
             if sig_n > 0.0:
                 n += sig_n * rng.standard_normal(m)
-        phi_all[block:block + m] = phi
+        phi_all[start:start + m] = phi
         max_abs_n = max(max_abs_n, float(np.max(np.abs(n))))
 
-    if abs(p.zeta) * max_abs_n * dt > 1e-3:
+    max_step_phase = abs(p.zeta) * max_abs_n * dt
+    if max_step_phase > 1e-3:
         warnings.warn(
             "dispersion step zeta*|n|*dt exceeds 1e-3 rad; "
             "increase n_steps",
@@ -107,6 +119,7 @@ def sde_sample(spec: ExperimentSpec, point: CslPoint, n_traj: int,
         t=p.t,
         n_traj=n_traj,
         seed=seed,
+        max_step_phase=max_step_phase,
     )
 
 
@@ -175,7 +188,39 @@ def coherent_spin_state(n_atoms: int, theta: float = math.pi / 2.0,
     return DickeState(n_atoms, np.outer(amp, amp.conj()))
 
 
-def _evolve_segment(rho, mz, jx, r: Rates, zeta: float,
+def _band_product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x for the Hermitian tridiagonal A with zero diagonal.
+
+    a holds the sub-diagonal A[k+1, k]; the super-diagonal is its
+    conjugate.  Two shifted row products, O(N^2) for an (N+1)^2 matrix x.
+    """
+    out = np.zeros_like(x)
+    out[1:] = a[:, None] * x[:-1]
+    out[:-1] += a.conj()[:, None] * x[1:]
+    return out
+
+
+def _dicke_rhs(rho: np.ndarray, time: float, deph, gamma_s: float,
+               jx_band: np.ndarray, dh_band: np.ndarray) -> np.ndarray:
+    """Interaction-picture dissipator of the Dicke master equation.
+
+    deph * rho is the J_z dephasing channel (elementwise, since it commutes
+    with the diagonal Hamiltonian).  J_x(t) is tridiagonal with sub-diagonal
+    a_k = jx_band[k] exp(i dh_band[k] time), dh_band[k] = h[k+1] - h[k],
+    and the diffusion channel is the double commutator
+    D[A]rho = -[A, [A, rho]] / 2, taken as X = A rho, C = X - X^H,
+    Y = A C, D = -(Y + Y^H) / 2, which assumes a Hermitian rho.
+    """
+    out = deph * rho
+    if gamma_s > 0.0:
+        a = jx_band * np.exp(1j * dh_band * time)
+        x = _band_product(a, rho)
+        y = _band_product(a, x - x.conj().T)
+        out = out - (0.5 * gamma_s) * (y + y.conj().T)
+    return out
+
+
+def _evolve_segment(rho, mz, jx_band, r: Rates, zeta: float,
                     epsilon_over_hbar: float, tau: float, n_steps: int):
     """RK4 in the interaction picture of the diagonal Hamiltonian.
 
@@ -187,22 +232,14 @@ def _evolve_segment(rho, mz, jx, r: Rates, zeta: float,
     produces the angular averaging of the diffusion channel.
     """
     h = epsilon_over_hbar * mz + zeta * mz ** 2
-    dh = h[:, None] - h[None, :]
+    dh_band = h[1:] - h[:-1]
     # dephasing channel is diagonal in this basis and commutes with H
     deph = r.gamma_p * (
         np.outer(mz, mz) - (mz[:, None] ** 2 + mz[None, :] ** 2) / 2.0
     )
 
     def rhs(rho_i, time):
-        out = deph * rho_i
-        if r.gamma_s > 0.0:
-            jx_t = jx * np.exp(1j * dh * time)
-            jx2_half = (jx_t @ jx_t) / 2.0
-            out = out + r.gamma_s * (
-                jx_t @ rho_i @ jx_t.conj().T
-                - jx2_half @ rho_i - rho_i @ jx2_half
-            )
-        return out
+        return _dicke_rhs(rho_i, time, deph, r.gamma_s, jx_band, dh_band)
 
     dt = tau / n_steps
     for step in range(n_steps):
@@ -213,7 +250,7 @@ def _evolve_segment(rho, mz, jx, r: Rates, zeta: float,
         k4 = rhs(rho + dt * k3, time + dt)
         rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     # back to the lab frame
-    phase = np.exp(-1j * dh * tau)
+    phase = np.exp(-1j * (h[:, None] - h[None, :]) * tau)
     return phase * rho
 
 
@@ -226,28 +263,31 @@ def dicke_evolve(n_atoms: int, r: Rates, zeta: float,
                 + Gamma_P (J_z rho J_z - {J_z^2, rho}/2)
                 + Gamma_S (J_x rho J_x - {J_x^2, rho}/2)
 
-    Dense (N+1) x (N+1) matrices; intended as an oracle for N <= 200.
-    The echo flag flips the sign of zeta at t/2.  For accuracy the step
-    must resolve the J_x coefficient oscillation: (eps/hbar) * t / n_steps
-    should stay below roughly 0.5.
+    Each RK4 stage costs O(N^2): the Hamiltonian is applied as exact
+    diagonal phases and J_x enters only through its tridiagonal band (see
+    ``_dicke_rhs``), which needs the initial state to be Hermitian.
+    Intended as an oracle for N <= 200.  The echo flag flips the sign of
+    zeta at t/2.  For accuracy the step must resolve the J_x coefficient
+    oscillation: (eps/hbar) * t / n_steps should stay below roughly 0.5.
     """
     if n_atoms > 200:
-        raise ValueError("dense Dicke oracle limited to N <= 200")
+        raise ValueError("Dicke oracle limited to N <= 200")
     if r.gamma_p < 0 or r.gamma_s < 0:
         raise ValueError("rates must be nonnegative")
 
     jx, _, jz = spin_operators(n_atoms)
     mz = np.real(np.diag(jz))
+    jx_band = np.real(np.diag(jx, -1))
 
     rho = initial.rho.astype(complex).copy()
     if echo:
         half = n_steps // 2
-        rho = _evolve_segment(rho, mz, jx, r, zeta, epsilon_over_hbar,
+        rho = _evolve_segment(rho, mz, jx_band, r, zeta, epsilon_over_hbar,
                               t / 2.0, half)
-        rho = _evolve_segment(rho, mz, jx, r, -zeta, epsilon_over_hbar,
+        rho = _evolve_segment(rho, mz, jx_band, r, -zeta, epsilon_over_hbar,
                               t / 2.0, n_steps - half)
     else:
-        rho = _evolve_segment(rho, mz, jx, r, zeta, epsilon_over_hbar,
+        rho = _evolve_segment(rho, mz, jx_band, r, zeta, epsilon_over_hbar,
                               t, n_steps)
 
     state = DickeState(n_atoms, rho)

@@ -179,6 +179,7 @@ class TestSimulate:
         payload = json.loads(out)
         assert abs(payload["z_score"]) < 4.0
         assert payload["mc_stderr"] > 0.0
+        assert 0.0 <= payload["max_step_phase_rad"] <= 1e-3
 
     def test_seed_changes_output(self, capsys):
         outs = []
@@ -294,6 +295,16 @@ class TestExitCodes:
         field = "lam" if flag == "--lambda-hz" else "rc"
         assert err.startswith(f"error: {field} must be finite")
 
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_out_of_range_seed_is_config_error(self, capsys, seed):
+        code, out, err = run_capture(capsys, [
+            "simulate", "--scenario", "rb-mzi",
+            "--lambda-hz", "1e-10", "--rc-m", "1e-6",
+            "--n-traj", "1000", "--n-steps", "1000", f"--seed={seed}"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: seed")
 
     @pytest.mark.parametrize("argv", [
         ["bound", "--scenario", "rb-swi", "--rc-m=nan"],

@@ -1,4 +1,6 @@
+import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -19,6 +21,7 @@ from cslbec.geometry import f_closed
 from cslbec.oracles import (
     DickeState,
     PositivityError,
+    _dicke_rhs,
     coherent_spin_state,
     dicke_evolve,
     dicke_phase_variance,
@@ -46,6 +49,53 @@ def swi_unit_spec(n_atoms, xi0, t, zeta, echo=False, sigma_n0=None):
 
 def lam_for_gamma_s(gamma_s):
     return gamma_s / (2.0 * F_AT_OPT.f_s)
+
+
+def random_hermitian(dim, rng):
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return m + m.conj().T
+
+
+def dense_lindblad(op, rho):
+    """op rho op^H - {op^H op, rho} / 2 by dense matrix products."""
+    op_h = op.conj().T
+    return op @ rho @ op_h - (op_h @ op @ rho + rho @ op_h @ op) / 2.0
+
+
+def interaction_jx(jx, h, time):
+    """J_x in the interaction picture of the diagonal Hamiltonian h."""
+    return jx * np.exp(1j * (h[:, None] - h[None, :]) * time)
+
+
+def dense_evolve(n, r, zeta, eps, rho, t, n_steps, echo):
+    """Dense-matrix RK4 reference for dicke_evolve: same step grid, same
+    exact diagonal phases, both channels built from spin_operators."""
+    jx, _, jz = spin_operators(n)
+    mz = np.real(np.diag(jz))
+
+    def segment(rho, zeta, tau, steps):
+        h = eps * mz + zeta * mz ** 2
+
+        def f(x, time):
+            return (r.gamma_p * dense_lindblad(jz, x)
+                    + r.gamma_s * dense_lindblad(interaction_jx(jx, h, time),
+                                                 x))
+
+        dt = tau / steps
+        for step in range(steps):
+            time = step * dt
+            k1 = f(rho, time)
+            k2 = f(rho + 0.5 * dt * k1, time + 0.5 * dt)
+            k3 = f(rho + 0.5 * dt * k2, time + 0.5 * dt)
+            k4 = f(rho + dt * k3, time + dt)
+            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return np.exp(-1j * (h[:, None] - h[None, :]) * tau) * rho
+
+    if not echo:
+        return segment(rho, zeta, t, n_steps)
+    half = n_steps // 2
+    rho = segment(rho, zeta, t / 2.0, half)
+    return segment(rho, -zeta, t / 2.0, n_steps - half)
 
 
 class TestSdeSample:
@@ -98,10 +148,61 @@ class TestSdeSample:
         assert a.variance == b.variance and a.mean == b.mean
         assert a.variance != c.variance
 
+    def test_deterministic_across_partial_block(self):
+        # one full 4096-trajectory block plus a partial one
+        spec = swi_unit_spec(10_000, 1.0, 0.5, 1e-3, echo=True)
+        point = CslPoint(1e-3, OPT)
+        a = sde_sample(spec, point, 5000, 1000, seed=21)
+        b = sde_sample(spec, point, 5000, 1000, seed=21)
+        assert a == b
+
+    def test_seed_streams_disjoint(self, monkeypatch):
+        # every block's Philox key, as the generator holds it
+        philox = np.random.Philox
+        keys = []
+
+        def recorder(*args, **kwargs):
+            bit_gen = philox(*args, **kwargs)
+            keys.append(tuple(int(k) for k in bit_gen.state["state"]["key"]))
+            return bit_gen
+
+        monkeypatch.setattr(np.random, "Philox", recorder)
+        spec = swi_unit_spec(10_000, 1.0, 1.0, 0.0)
+        per_seed = []
+        for seed in (42, 43):
+            keys.clear()
+            sde_sample(spec, CslPoint(0.0, OPT), 8192, 1000, seed=seed)
+            assert len(keys) == 2
+            per_seed.append(set(keys))
+        assert per_seed[0].isdisjoint(per_seed[1])
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, "7"])
+    def test_rejects_out_of_range_seed(self, seed):
+        spec = swi_unit_spec(10_000, 1.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match=r"seed must be an integer in "
+                                             r"\[0, 2\*\*64\)"):
+            sde_sample(spec, CslPoint(0.0, OPT), 1000, 1000, seed)
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_seeds_keep_distinct_streams(self):
+        # seeds above 2**63 do not pass through a lossy float conversion
+        spec = swi_unit_spec(10_000, 1.0, 1.0, 0.0)
+        a = sde_sample(spec, CslPoint(0.0, OPT), 1000, 1000, 2 ** 64 - 1)
+        b = sde_sample(spec, CslPoint(0.0, OPT), 1000, 1000, 2 ** 64 - 2)
+        assert a.seed == 2 ** 64 - 1
+        assert a.variance != b.variance
+
     def test_step_size_warning(self):
         spec = swi_unit_spec(10_000, 1.0, 1.0, 50.0, sigma_n0=100.0)
         with pytest.warns(UserWarning, match="n_steps"):
-            sde_sample(spec, CslPoint(0.0, OPT), 1024, 1000, seed=1)
+            m = sde_sample(spec, CslPoint(0.0, OPT), 1024, 1000, seed=1)
+        assert m.max_step_phase > 1e-3
+
+    @pytest.mark.filterwarnings("error")
+    def test_step_phase_at_most_threshold_is_silent(self):
+        spec = swi_unit_spec(10_000, 1.0, 1.0, 1e-3)
+        m = sde_sample(spec, CslPoint(0.0, OPT), 1024, 1000, seed=1)
+        assert 0.0 < m.max_step_phase <= 1e-3
 
     def test_unbiased_over_random_specs(self):
         # closed-form variance inside the 99% interval of the Monte Carlo
@@ -215,6 +316,30 @@ class TestDickeEvolve:
         assert abs(np.trace(state.rho) - 1.0) < 1e-9
         assert np.max(np.abs(state.rho - state.rho.conj().T)) < 1e-9
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 200])
+    def test_banded_rhs_matches_dense(self, n):
+        rng = np.random.default_rng(n)
+        jx, _, jz = spin_operators(n)
+        mz = np.real(np.diag(jz))
+        eps, zeta, gamma_s = 37.0, 0.3, 0.7
+        h = eps * mz + zeta * mz ** 2
+        for time in (0.0, 0.013, 0.4, 2.9):
+            rho = random_hermitian(n + 1, rng)
+            dense = gamma_s * dense_lindblad(interaction_jx(jx, h, time), rho)
+            banded = _dicke_rhs(rho, time, 0.0, gamma_s,
+                                np.real(np.diag(jx, -1)), np.diff(h))
+            assert np.max(np.abs(banded - dense)) <= (
+                1e-13 * np.max(np.abs(dense)))
+
+    def test_matches_dense_rk4_with_echo(self):
+        n, r = 20, Rates(gamma_p=0.3, gamma_s=0.2)
+        initial = coherent_spin_state(n, theta=1.2, phi=0.4)
+        state = dicke_evolve(n, r, zeta=0.15, epsilon_over_hbar=40.0,
+                             initial=initial, t=1.0, n_steps=400, echo=True)
+        dense = dense_evolve(n, r, 0.15, 40.0, initial.rho, 1.0, 400,
+                             echo=True)
+        assert np.max(np.abs(state.rho - dense)) <= 1e-12
+
     def test_rejects_large_n(self):
         with pytest.raises(ValueError, match="N <= 200"):
             dicke_evolve(500, Rates(0.0, 0.0), 0.0, 0.0,
@@ -259,6 +384,25 @@ class TestDickePhaseVariance:
                              n_steps=1000)
         with pytest.warns(UserWarning, match="contrast"):
             dicke_phase_variance(state)
+
+
+class TestBenchReference:
+    # the Dicke values the benchmark gates; recorded there once, read-only
+    REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             os.pardir, "bench", "reference.json")
+    DICKE_REL = 1e-6  # the benchmark's tolerance on these values
+
+    @pytest.mark.parametrize("n, steps", [(10, 200), (40, 1000)])
+    def test_dephasing_phase_variance(self, n, steps):
+        with open(self.REFERENCE, encoding="utf-8") as f:
+            expected = json.load(f)["oracle-check"][
+                f"dicke dephasing {n}x{steps}"]["phase_variance"]
+        state = dicke_evolve(n, Rates(gamma_p=0.2, gamma_s=0.0), zeta=0.0,
+                             epsilon_over_hbar=0.0,
+                             initial=coherent_spin_state(n), t=1.0,
+                             n_steps=steps)
+        assert dicke_phase_variance(state).variance == pytest.approx(
+            expected, rel=self.DICKE_REL)
 
 
 class TestOracleAgreement:
