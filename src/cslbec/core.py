@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, fields, is_dataclass
 
@@ -205,6 +206,13 @@ def validate(spec: ExperimentSpec) -> list:
         v.append("xi_t < xi0: observed narrowing is unphysical")
 
     return v
+
+
+def _check_seed(seed) -> None:
+    """Reject a Monte Carlo seed outside the uint64 range of a Philox key."""
+    if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2 ** 64:
+        raise ValueError(
+            f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 def ground_state_width(omega: float, species: Species, convention: str) -> float:

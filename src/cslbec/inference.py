@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ExperimentSpec, CslPoint, MziGeometry
+from .core import ExperimentSpec, CslPoint, MziGeometry, _check_seed
 from .dynamics import collapse_rates, count_distribution, propagator_parts
 from .geometry import f_closed
 
@@ -213,6 +213,7 @@ def calibrate_estimator(spec: ExperimentSpec, rc: float, mode: str,
     """
     if k < 100:
         raise ValueError("k must be >= 100")
+    _check_seed(seed)
     split = variance_split(spec, rc, mode, fp_cap_one=fp_cap_one)
     n = spec.state.n_atoms
     phase = spec.protocol.phase_mean

@@ -296,12 +296,18 @@ class TestExitCodes:
         assert err.startswith(f"error: {field} must be finite")
 
 
-    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
-    def test_out_of_range_seed_is_config_error(self, capsys, seed):
-        code, out, err = run_capture(capsys, [
-            "simulate", "--scenario", "rb-mzi",
-            "--lambda-hz", "1e-10", "--rc-m", "1e-6",
-            "--n-traj", "1000", "--n-steps", "1000", f"--seed={seed}"])
+    @pytest.mark.parametrize("command, seed", [
+        (command, seed) for command in ("simulate", "calibrate")
+        for seed in ("-1", "18446744073709551616")])
+    def test_out_of_range_seed_is_config_error(self, capsys, command, seed):
+        args = {
+            "simulate": ["--lambda-hz", "1e-10", "--rc-m", "1e-6",
+                         "--n-traj", "1000", "--n-steps", "1000"],
+            "calibrate": ["--fp-cap-one", "--k", "300", "--n-meta", "200"],
+        }[command]
+        code, out, err = run_capture(
+            capsys,
+            [command, "--scenario", "rb-mzi", *args, f"--seed={seed}"])
         assert code == 2
         assert out == ""
         assert err.startswith("error: seed")
@@ -350,15 +356,17 @@ class TestByteStability:
 
 
 class TestColdStart:
-    def test_import_does_not_load_scipy(self):
-        # every CLI call is a fresh process; scipy is a test-only dependency
+    # every CLI call is a fresh process: scipy is a test-only dependency,
+    # and concurrent.futures (with logging) is needed only by sde_sample
+    @pytest.mark.parametrize("module", ["scipy", "concurrent.futures"])
+    def test_import_does_not_load(self, module):
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
         path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, cslbec, cslbec.cli; "
-             "assert 'scipy' not in sys.modules, "
-             "sorted(m for m in sys.modules if m.startswith('scipy'))"],
+             f"assert {module!r} not in sys.modules, "
+             f"sorted(m for m in sys.modules if m.startswith({module!r}))"],
             env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr

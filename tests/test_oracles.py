@@ -1,6 +1,9 @@
+import concurrent.futures
 import json
 import math
 import os
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -18,6 +21,7 @@ from cslbec.core import (
 )
 from cslbec.dynamics import Rates, phase_variance, rates
 from cslbec.geometry import f_closed
+from cslbec import oracles
 from cslbec.oracles import (
     DickeState,
     PositivityError,
@@ -49,6 +53,38 @@ def swi_unit_spec(n_atoms, xi0, t, zeta, echo=False, sigma_n0=None):
 
 def lam_for_gamma_s(gamma_s):
     return gamma_s / (2.0 * F_AT_OPT.f_s)
+
+
+def serial_sde_sample(spec, point, n_traj, n_steps, seed):
+    """The block loop of sde_sample run serially in one thread: the
+    reference for the pooled sampler.  Returns (mean, variance,
+    max_step_phase)."""
+    r = rates(point, spec.species, spec.geometry)
+    p = spec.protocol
+    dt = p.t / n_steps
+    sig_phi = math.sqrt(r.gamma_p * p.t)
+    sig_n = math.sqrt(spec.state.n_atoms ** 2 * r.gamma_s / 2.0 * dt)
+    phi_all = np.empty(n_traj)
+    max_abs_n = 0.0
+    for block, start in enumerate(range(0, n_traj, 4096)):
+        m = min(4096, n_traj - start)
+        key = np.array([seed, block], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        phi = rng.normal(0.0, math.sqrt(spec.sigma_phi0_sq), size=m)
+        n = rng.normal(0.0, spec.state.sigma_n0, size=m)
+        if sig_phi > 0.0:
+            phi += sig_phi * rng.standard_normal(m)
+        for step in range(n_steps):
+            zeta = p.zeta
+            if p.echo and step >= n_steps // 2:
+                zeta = -p.zeta
+            phi += zeta * n * dt
+            if sig_n > 0.0:
+                n += sig_n * rng.standard_normal(m)
+        phi_all[start:start + m] = phi
+        max_abs_n = max(max_abs_n, float(np.max(np.abs(n))))
+    return (float(np.mean(phi_all)), float(np.var(phi_all, ddof=1)),
+            abs(p.zeta) * max_abs_n * dt)
 
 
 def random_hermitian(dim, rng):
@@ -155,6 +191,57 @@ class TestSdeSample:
         a = sde_sample(spec, point, 5000, 1000, seed=21)
         b = sde_sample(spec, point, 5000, 1000, seed=21)
         assert a == b
+
+    @pytest.mark.parametrize("echo", [False, True])
+    @pytest.mark.parametrize("n_traj", [1000, 5000, 3 * 4096 + 1])
+    def test_matches_serial_reference(self, n_traj, echo):
+        # one block; a full block plus a partial one; three full plus one
+        spec = swi_unit_spec(10_000, 1.0, 0.5, 1e-3, echo=echo)
+        point = CslPoint(1e-3, OPT)
+        m = sde_sample(spec, point, n_traj, 1000, seed=31)
+        assert (m.mean, m.variance, m.max_step_phase) == serial_sde_sample(
+            spec, point, n_traj, 1000, seed=31)
+
+    @pytest.mark.parametrize("cpus", [1, 8])
+    def test_same_bits_at_any_worker_count(self, monkeypatch, cpus):
+        # 8 workers is more than most test machines have cores; 4 blocks
+        # cap the pool at 4
+        spec = swi_unit_spec(10_000, 1.0, 0.5, 1e-3, echo=True)
+        point = CslPoint(1e-3, OPT)
+        n_traj = 3 * 4096 + 1
+        pools = []
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(oracles, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            RecordingPool)
+        results = []
+        worker = threading.Thread(
+            target=lambda: results.append(
+                sde_sample(spec, point, n_traj, 1000, seed=31)),
+            daemon=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            worker.start()
+            worker.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive(), "sde_sample did not finish in 120 s"
+        assert pools == [min(4, cpus)]
+        m = results[0]
+        assert (m.mean, m.variance, m.max_step_phase) == serial_sde_sample(
+            spec, point, n_traj, 1000, seed=31)
+
+    def test_caller_error_state_reaches_blocks(self):
+        # np.errstate is per context, and the blocks run on worker threads
+        spec = swi_unit_spec(10_000, 1.0, 1.0, 1e200, sigma_n0=1e200)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            sde_sample(spec, CslPoint(0.0, OPT), 5000, 1000, seed=1)
 
     def test_seed_streams_disjoint(self, monkeypatch):
         # every block's Philox key, as the generator holds it
