@@ -117,11 +117,11 @@ def _cmd_geometry(args):
         overlaps = geometry.overlap_mzi(spec.geometry)
     else:
         overlaps = geometry.overlap_swi(spec.geometry)
+    closed = geometry.f_closed(spec.geometry, grid)
     rows = []
-    for rc in grid:
-        closed = geometry.f_closed(spec.geometry, rc)
+    for rc, f_p, f_s in zip(grid, closed.f_p, closed.f_s):
         quad = geometry.f_quadrature(overlaps, rc)
-        rows.append((rc, closed.f_p, closed.f_s, quad.f_p, quad.f_s))
+        rows.append((rc, f_p, f_s, quad.f_p, quad.f_s))
     emit_csv(rows, ["rc_m", "f_p", "f_s", "f_p_quadrature", "f_s_quadrature"],
              args.out)
     return 0

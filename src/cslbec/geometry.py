@@ -8,13 +8,15 @@ vector q:
     f_P(r_C) = (r_C^2 / 2pi) * int d^2q  exp(-q^2 r_C^2) |W_aa(q) - W_bb(q)|^2
     f_S(r_C) = (r_C^2 / 2pi) * int d^2q  exp(-q^2 r_C^2) |W_ab(q) + W_ba(q)|^2
 
-Closed forms exist for both geometries; the numerical quadrature here serves
-as their independent cross-check and as the authoritative path for MZI modes
-with unequal transverse widths.
+Both modes of either geometry share the transverse Gaussian factor
+exp(-q_y^2 w_y^2 / 2), so each integral is a q_x integral times one shared
+q_y integral.  Closed forms exist for both geometries at any widths; the
+numerical quadrature here is their independent cross-check.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,15 +42,17 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class OverlapMatrix:
-    """Momentum-displacement overlaps W_jk(qx, qy) of the two modes.
+    """Momentum-displacement overlaps W_jk(qx, qy) = w_jk(qx) exp(-qy^2 w_y^2/2).
 
-    The callables accept numpy arrays and return complex values satisfying
-    W_jk(q) = conj(W_kj(-q)), |W_jk| <= 1 and W_aa(0) = W_bb(0) = 1.
+    The callables ``w_aa``, ``w_bb``, ``w_ab`` and ``w_ba`` are the qx
+    factors: they accept numpy arrays and return complex values satisfying
+    w_jk(qx) = conj(w_kj(-qx)), |w_jk| <= 1 and w_aa(0) = w_bb(0) = 1.
+    ``w_y`` is the transverse width of the Gaussian factor all four share.
 
-    ``scale_x``/``scale_y`` give the Gaussian decay lengths of the integrand
-    envelope (|W|^2 ~ exp(-q^2 scale^2)); ``osc_x`` bounds the length scale of
-    any oscillatory phase along qx (0 if none).  The quadrature uses them to
-    pick node placement, nothing else.
+    ``scale_x`` gives the Gaussian decay length of the qx envelope
+    (|w|^2 ~ exp(-qx^2 scale_x^2)); ``osc_x`` bounds the length scale of any
+    oscillatory phase along qx (0 if none).  The quadrature uses them to pick
+    node placement, nothing else.
     """
 
     w_aa: callable
@@ -56,9 +60,8 @@ class OverlapMatrix:
     w_ab: callable
     w_ba: callable
     scale_x: float
-    scale_y: float
+    w_y: float
     osc_x: float = 0.0
-    exchange_is_zero: bool = False
 
 
 def overlap_mzi(geometry: MziGeometry) -> OverlapMatrix:
@@ -67,44 +70,51 @@ def overlap_mzi(geometry: MziGeometry) -> OverlapMatrix:
     The mode functions do not overlap spatially, so the exchange elements
     W_ab and W_ba vanish identically.
     """
-    wx, wy, dx = geometry.w_x, geometry.w_y, geometry.delta_x
+    wx, dx = geometry.w_x, geometry.delta_x
 
-    def w_aa(qx, qy):
-        return np.exp(-(qx ** 2) * wx ** 2 / 2 - (qy ** 2) * wy ** 2 / 2) + 0j
+    def w_aa(qx):
+        return np.exp(-(qx ** 2) * wx ** 2 / 2) + 0j
 
-    def w_bb(qx, qy):
-        return w_aa(qx, qy) * np.exp(1j * qx * dx)
+    def w_bb(qx):
+        return w_aa(qx) * np.exp(1j * qx * dx)
 
-    def zero(qx, qy):
-        return np.zeros(np.broadcast(qx, qy).shape, dtype=complex)
+    def zero(qx):
+        return np.zeros(np.shape(qx), dtype=complex)
 
     return OverlapMatrix(w_aa, w_bb, zero, zero,
-                         scale_x=wx, scale_y=wy, osc_x=dx,
-                         exchange_is_zero=True)
+                         scale_x=wx, w_y=geometry.w_y, osc_x=dx)
 
 
 def overlap_swi(geometry: SwiGeometry) -> OverlapMatrix:
     """Overlaps for harmonic ground and first excited mode in one well."""
-    x0, wy = geometry.x0, geometry.w_y
+    x0 = geometry.x0
 
-    def w_aa(qx, qy):
-        return np.exp(-(qy ** 2) * wy ** 2 / 2 - (qx ** 2) * x0 ** 2 / 2) + 0j
+    def w_aa(qx):
+        return np.exp(-(qx ** 2) * x0 ** 2 / 2) + 0j
 
-    def w_bb(qx, qy):
-        return (1.0 - qx ** 2 * x0 ** 2) * w_aa(qx, qy)
+    def w_bb(qx):
+        return (1.0 - qx ** 2 * x0 ** 2) * w_aa(qx)
 
-    def w_ab(qx, qy):
-        return 1j * qx * x0 * w_aa(qx, qy)
+    def w_ab(qx):
+        return 1j * qx * x0 * w_aa(qx)
 
     return OverlapMatrix(w_aa, w_bb, w_ab, w_ab,
-                         scale_x=x0, scale_y=wy)
+                         scale_x=x0, w_y=geometry.w_y)
 
 
 @dataclass(frozen=True)
 class GeometryFactors:
+    """f_P and f_S at rc.
+
+    ``error`` is the quadrature's error estimate, the larger relative
+    difference of f_P and f_S between the working and the refined rule;
+    None for the closed forms.
+    """
+
     f_p: float
     f_s: float
     rc: float
+    error: float | None = None
 
 
 def _checked_rc(rc) -> np.ndarray:
@@ -124,13 +134,12 @@ def f_closed(geometry, rc) -> GeometryFactors:
     """
     r = _checked_rc(rc)
     if isinstance(geometry, MziGeometry):
-        if not math.isclose(geometry.w_x, geometry.w_y, rel_tol=1e-12):
-            raise ValueError(
-                "closed form for MZI requires w_x = w_y; use f_quadrature"
-            )
-        wx, dx = geometry.w_x, geometry.delta_x
+        wx, wy, dx = geometry.w_x, geometry.w_y, geometry.delta_x
+        # the transverse ratio is exactly 1.0 for w_x = w_y, and stays
+        # finite where rc^2 underflows
         f_p = (-np.expm1(-dx ** 2 / (4.0 * (wx ** 2 + r ** 2)))) \
-            / (1.0 + wx ** 2 / r ** 2)
+            / (1.0 + wx ** 2 / r ** 2) \
+            * np.sqrt((wx ** 2 + r ** 2) / (wy ** 2 + r ** 2))
         f_s = np.zeros_like(f_p)
     elif isinstance(geometry, SwiGeometry):
         x0, wy = geometry.x0, geometry.w_y
@@ -150,6 +159,24 @@ _GH_NODES = 80
 _TRUNC = 8.5  # half-width of the truncated panel rule, in envelope units
 
 
+def _frozen(arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=None)
+def _hermgauss(n: int):
+    """Read-only Gauss-Hermite nodes and weights, computed once per n."""
+    return _frozen(np.polynomial.hermite.hermgauss(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _leggauss(n: int):
+    """Read-only Gauss-Legendre nodes and weights, computed once per n."""
+    return _frozen(np.polynomial.legendre.leggauss(n))
+
+
 def _axis_rule(total_scale: float, osc: float, refine: bool):
     """1D nodes/weights for int dv exp(-v^2) g(v) on one scaled axis.
 
@@ -159,12 +186,11 @@ def _axis_rule(total_scale: float, osc: float, refine: bool):
     """
     n_osc = osc / total_scale  # oscillations per unit of scaled coordinate
     if n_osc <= 2.0:
-        n = _GH_NODES + (16 if refine else 0)
-        return np.polynomial.hermite.hermgauss(n)
+        return _hermgauss(_GH_NODES + (16 if refine else 0))
     panels = int(max(32, math.ceil(1.5 * n_osc * _TRUNC / math.pi)))
     if refine:
         panels = 2 * panels
-    x, w = np.polynomial.legendre.leggauss(8)
+    x, w = _leggauss(8)
     edges = np.linspace(-_TRUNC, _TRUNC, panels + 1)
     half = np.diff(edges) / 2.0
     mid = (edges[:-1] + edges[1:]) / 2.0
@@ -174,26 +200,25 @@ def _axis_rule(total_scale: float, osc: float, refine: bool):
 
 
 def _quad_once(overlaps: OverlapMatrix, rc: float, refine: bool):
+    """f_P and f_S as (qx sum) * (shared qy sum), each a 1D rule."""
     sx = math.sqrt(rc ** 2 + overlaps.scale_x ** 2)
-    sy = math.sqrt(rc ** 2 + overlaps.scale_y ** 2)
+    sy = math.sqrt(rc ** 2 + overlaps.w_y ** 2)
     vx, wx = _axis_rule(sx, overlaps.osc_x, refine)
     vy, wy = _axis_rule(sy, 0.0, refine)
 
-    qx = (vx / sx)[:, None]
-    qy = (vy / sy)[None, :]
+    qx = vx / sx
+    qy = vy / sy
     # residual Gaussian weight after pulling exp(-v^2) into the rule
-    env = np.exp(-(qx ** 2) * (rc ** 2 - sx ** 2) - (qy ** 2) * (rc ** 2 - sy ** 2))
-    ww = wx[:, None] * wy[None, :] * env
+    wwx = wx * np.exp(-(qx ** 2) * (rc ** 2 - sx ** 2))
+    wwy = wy * np.exp(-(qy ** 2) * (rc ** 2 - sy ** 2))
+    y_sum = np.sum(wwy * np.exp(-(qy ** 2) * overlaps.w_y ** 2))
 
-    d = overlaps.w_aa(qx, qy) - overlaps.w_bb(qx, qy)
-    f_p = np.sum(ww * (d.real ** 2 + d.imag ** 2))
-    if overlaps.exchange_is_zero:
-        f_s = 0.0
-    else:
-        e = overlaps.w_ab(qx, qy) + overlaps.w_ba(qx, qy)
-        f_s = np.sum(ww * (e.real ** 2 + e.imag ** 2))
-    pref = rc ** 2 / (2.0 * math.pi * sx * sy)
-    return pref * f_p, pref * f_s
+    d = overlaps.w_aa(qx) - overlaps.w_bb(qx)
+    e = overlaps.w_ab(qx) + overlaps.w_ba(qx)
+    f_p = np.sum(wwx * (d.real ** 2 + d.imag ** 2))
+    f_s = np.sum(wwx * (e.real ** 2 + e.imag ** 2))
+    pref = rc ** 2 / (2.0 * math.pi * sx * sy) * y_sum
+    return float(pref * f_p), float(pref * f_s)
 
 
 def f_quadrature(overlaps: OverlapMatrix, rc: float,
@@ -201,19 +226,25 @@ def f_quadrature(overlaps: OverlapMatrix, rc: float,
     """Numerically integrate the defining f_P/f_S integrals.
 
     Computes each axis with the working rule and a refined rule; raises
-    QuadratureError if the two disagree beyond ``rel_tol`` relatively.
+    QuadratureError if the two disagree beyond ``rel_tol`` relatively, and
+    otherwise returns the larger disagreement as ``error``.
     """
     _checked_rc(rc)
     f_p, f_s = _quad_once(overlaps, rc, refine=False)
     f_p2, f_s2 = _quad_once(overlaps, rc, refine=True)
+    error = 0.0
     for a, b, label in ((f_p, f_p2, "f_p"), (f_s, f_s2, "f_s")):
         scale = max(abs(a), abs(b))
-        if scale > 0 and abs(a - b) / scale > rel_tol:
+        if scale == 0:
+            continue
+        rel = abs(a - b) / scale
+        if rel > rel_tol:
             raise QuadratureError(
                 f"{label} quadrature error estimate "
-                f"{abs(a - b) / scale:.2e} exceeds {rel_tol:.0e} at rc={rc:g}"
+                f"{rel:.2e} exceeds {rel_tol:.0e} at rc={rc:g}"
             )
-    return GeometryFactors(f_p=f_p2, f_s=f_s2, rc=rc)
+        error = max(error, rel)
+    return GeometryFactors(f_p=f_p2, f_s=f_s2, rc=rc, error=error)
 
 
 def optimal_rc(geometry: SwiGeometry) -> float:

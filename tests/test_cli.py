@@ -224,6 +224,27 @@ class TestSpecFiles:
         assert json.loads(out)["lambda_bound_hz"] == pytest.approx(
             1.103284328489337e-10, rel=1e-9)
 
+    def test_unequal_mzi_widths(self, capsys, tmp_path):
+        def mutate(d):
+            d["geometry"]["w_y_m"] = 3.0 * d["geometry"]["w_x_m"]
+
+        path = self.write_spec(tmp_path, mutate)
+        code, out, _ = run_capture(capsys, [
+            "geometry", "--spec", str(path), "--rc", "1e-9:1e-3:20"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert len(rows) == 20
+        for _, f_p, f_s, qp, qs in rows:
+            assert float(qp) == pytest.approx(float(f_p), rel=1e-6)
+            assert float(f_s) == float(qs) == 0.0
+        for command in (["bound"],
+                        ["variance", "--lambda-hz", "1e-10"]):
+            code, out, _ = run_capture(capsys, [
+                *command, "--spec", str(path), "--rc-m", "1e-6"])
+            assert code == 0, command
+            assert all(math.isfinite(v) for v in json.loads(out).values()
+                       if isinstance(v, float))
+
     def test_misspelled_key_is_config_error(self, capsys, tmp_path):
         def mutate(d):
             d["protocol"]["time"] = d["protocol"].pop("t_s")

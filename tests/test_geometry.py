@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from cslbec import geometry
 from cslbec.core import MziGeometry, SwiGeometry
 from cslbec.geometry import (
     f_closed,
@@ -12,8 +13,10 @@ from cslbec.geometry import (
     overlap_mzi,
     overlap_swi,
 )
+from cslbec.scenarios import SCENARIOS
 
 MZI = MziGeometry(delta_x=10e-6, w_x=100e-9)
+MZI_UNEQUAL = MziGeometry(delta_x=10e-6, w_x=100e-9, w_y=300e-9)
 SWI = SwiGeometry(x0=0.5e-6)
 
 RC_GRID = np.geomspace(1e-9, 1e-3, 50)
@@ -22,72 +25,95 @@ RC_GRID = np.geomspace(1e-9, 1e-3, 50)
 def brute_force_factors(overlaps, rc):
     """Independent oracle: adaptive 2D quadrature of the defining integrals."""
     lx = 40.0 / math.hypot(rc, overlaps.scale_x)
-    ly = 40.0 / math.hypot(rc, overlaps.scale_y)
+    ly = 40.0 / math.hypot(rc, overlaps.w_y)
 
     def term(builder):
         def integrand(qy, qx):
-            val = builder(np.array(qx), np.array(qy))
+            val = builder(np.array(qx)) \
+                * math.exp(-qy * qy * overlaps.w_y ** 2 / 2)
             return math.exp(-(qx * qx + qy * qy) * rc * rc) * abs(val) ** 2
 
         res, _ = integrate.dblquad(integrand, -lx, lx, -ly, ly,
                                    epsabs=1e-16, epsrel=1e-10)
         return rc * rc / (2.0 * math.pi) * res
 
-    f_p = term(lambda qx, qy: overlaps.w_aa(qx, qy) - overlaps.w_bb(qx, qy))
-    f_s = term(lambda qx, qy: overlaps.w_ab(qx, qy) + overlaps.w_ba(qx, qy))
+    f_p = term(lambda qx: overlaps.w_aa(qx) - overlaps.w_bb(qx))
+    f_s = term(lambda qx: overlaps.w_ab(qx) + overlaps.w_ba(qx))
     return f_p, f_s
+
+
+def tensor_quad_once(overlaps, rc, refine):
+    """Reference: the 2D tensor-product rule over (qx, qy) nodes.
+
+    Same axis rules as geometry._quad_once, but summing the full 2D
+    integrand instead of factoring out the shared qy integral.
+    """
+    sx = math.sqrt(rc ** 2 + overlaps.scale_x ** 2)
+    sy = math.sqrt(rc ** 2 + overlaps.w_y ** 2)
+    vx, wx = geometry._axis_rule(sx, overlaps.osc_x, refine)
+    vy, wy = geometry._axis_rule(sy, 0.0, refine)
+
+    qx = (vx / sx)[:, None]
+    qy = (vy / sy)[None, :]
+    env = np.exp(-(qx ** 2) * (rc ** 2 - sx ** 2) - (qy ** 2) * (rc ** 2 - sy ** 2))
+    ww = wx[:, None] * wy[None, :] * env
+    y = np.exp(-(qy ** 2) * overlaps.w_y ** 2 / 2)
+
+    d = (overlaps.w_aa(qx) - overlaps.w_bb(qx)) * y
+    e = (overlaps.w_ab(qx) + overlaps.w_ba(qx)) * y
+    f_p = np.sum(ww * (d.real ** 2 + d.imag ** 2))
+    f_s = np.sum(ww * (e.real ** 2 + e.imag ** 2))
+    pref = rc ** 2 / (2.0 * math.pi * sx * sy)
+    return pref * f_p, pref * f_s
 
 
 class TestOverlapMzi:
     def test_normalization_at_zero(self):
         ov = overlap_mzi(MZI)
-        assert ov.w_aa(0.0, 0.0) == pytest.approx(1.0)
-        assert ov.w_bb(0.0, 0.0) == pytest.approx(1.0)
+        assert ov.w_aa(0.0) == pytest.approx(1.0)
+        assert ov.w_bb(0.0) == pytest.approx(1.0)
 
     def test_exchange_vanishes(self):
         ov = overlap_mzi(MZI)
         q = np.linspace(-1e8, 1e8, 7)
-        assert np.all(ov.w_ab(q, q) == 0.0)
+        assert np.all(ov.w_ab(q) == 0.0)
+        assert np.all(ov.w_ba(q) == 0.0)
 
     def test_population_difference_algebra(self):
-        # |W_aa - W_bb|^2 = 2 exp(-qx^2 wx^2) (1 - cos(qx dx)) at qy = 0
+        # |w_aa - w_bb|^2 = 2 exp(-qx^2 wx^2) (1 - cos(qx dx))
         ov = overlap_mzi(MZI)
         rng = np.random.default_rng(3)
         qx = rng.uniform(-5e7, 5e7, 100)
-        lhs = np.abs(ov.w_aa(qx, 0.0) - ov.w_bb(qx, 0.0)) ** 2
+        lhs = np.abs(ov.w_aa(qx) - ov.w_bb(qx)) ** 2
         rhs = 2.0 * np.exp(-qx ** 2 * MZI.w_x ** 2) \
             * (1.0 - np.cos(qx * MZI.delta_x))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
 
     def test_hermiticity(self):
         ov = overlap_mzi(MZI)
-        qx, qy = 3e6, -2e6
-        assert ov.w_aa(qx, qy) == pytest.approx(
-            np.conj(ov.w_aa(-qx, -qy)), rel=1e-14)
-        assert ov.w_bb(qx, qy) == pytest.approx(
-            np.conj(ov.w_bb(-qx, -qy)), rel=1e-14)
+        qx = 3e6
+        assert ov.w_aa(qx) == pytest.approx(np.conj(ov.w_aa(-qx)), rel=1e-14)
+        assert ov.w_bb(qx) == pytest.approx(np.conj(ov.w_bb(-qx)), rel=1e-14)
 
 
 class TestOverlapSwi:
     def test_normalization_at_zero(self):
         ov = overlap_swi(SWI)
-        assert ov.w_aa(0.0, 0.0) == pytest.approx(1.0)
-        assert ov.w_bb(0.0, 0.0) == pytest.approx(1.0)
-        assert ov.w_ab(0.0, 0.0) == 0.0
+        assert ov.w_aa(0.0) == pytest.approx(1.0)
+        assert ov.w_bb(0.0) == pytest.approx(1.0)
+        assert ov.w_ab(0.0) == 0.0
 
     def test_excited_mode_zero_crossing(self):
         ov = overlap_swi(SWI)
-        assert abs(ov.w_bb(1.0 / SWI.x0, 0.0)) < 1e-15
+        assert abs(ov.w_bb(1.0 / SWI.x0)) < 1e-15
 
     def test_exchange_algebra(self):
-        # |W_ab + W_ba|^2 = 4 qx^2 x0^2 exp(-qy^2 wy^2 - qx^2 x0^2)
+        # |w_ab + w_ba|^2 = 4 qx^2 x0^2 exp(-qx^2 x0^2)
         ov = overlap_swi(SWI)
         rng = np.random.default_rng(4)
         qx = rng.uniform(-5e6, 5e6, 50)
-        qy = rng.uniform(-5e6, 5e6, 50)
-        lhs = np.abs(ov.w_ab(qx, qy) + ov.w_ba(qx, qy)) ** 2
-        rhs = 4.0 * qx ** 2 * SWI.x0 ** 2 \
-            * np.exp(-qy ** 2 * SWI.w_y ** 2 - qx ** 2 * SWI.x0 ** 2)
+        lhs = np.abs(ov.w_ab(qx) + ov.w_ba(qx)) ** 2
+        rhs = 4.0 * qx ** 2 * SWI.x0 ** 2 * np.exp(-qx ** 2 * SWI.x0 ** 2)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
@@ -97,9 +123,19 @@ class TestClosedForms:
         assert f.f_p == pytest.approx(0.9900990098833777, rel=1e-12)
         assert f.f_s == 0.0
 
-    def test_mzi_requires_equal_widths(self):
-        with pytest.raises(ValueError, match="w_x = w_y"):
-            f_closed(MziGeometry(delta_x=1e-5, w_x=1e-7, w_y=2e-7), 1e-6)
+    def test_mzi_unequal_widths_match_quadrature(self):
+        ov = overlap_mzi(MZI_UNEQUAL)
+        f = f_closed(MZI_UNEQUAL, RC_GRID)
+        q = np.array([f_quadrature(ov, rc).f_p for rc in RC_GRID])
+        np.testing.assert_allclose(q, f.f_p, rtol=1e-12)
+        assert np.all(f.f_s == 0.0)
+        # a wider transverse mode lowers f_P at every rc
+        assert np.all(f.f_p < f_closed(MZI, RC_GRID).f_p)
+
+    def test_mzi_unequal_widths_finite_at_tiny_rc(self):
+        with np.errstate(divide="ignore"):
+            f = f_closed(MZI_UNEQUAL, np.array([1e-200, 5e-324]))
+        assert np.all(f.f_p == 0.0)
 
     def test_swi_optimum_values(self):
         x0 = SWI.x0
@@ -123,7 +159,8 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="rc must be finite and > 0"):
             evaluate(rc)
 
-    @pytest.mark.parametrize("geom", [MZI, SWI], ids=["mzi", "swi"])
+    @pytest.mark.parametrize("geom", [MZI, SWI, MZI_UNEQUAL],
+                             ids=["mzi", "swi", "mzi-unequal"])
     def test_array_matches_scalar(self, geom):
         # 1e-160 reaches the underflow region where f vanishes
         grid = np.concatenate([RC_GRID, np.geomspace(1e-160, 1e2, 301)])
@@ -168,10 +205,9 @@ class TestQuadratureAgreement:
     def test_identical_modes_give_zero(self):
         ov = overlap_mzi(MZI)
         same = type(ov)(ov.w_aa, ov.w_aa, ov.w_ab, ov.w_ba,
-                        scale_x=ov.scale_x, scale_y=ov.scale_y,
-                        osc_x=ov.osc_x, exchange_is_zero=True)
+                        scale_x=ov.scale_x, w_y=ov.w_y, osc_x=ov.osc_x)
         q = f_quadrature(same, 1e-7)
-        assert abs(q.f_p) < 1e-15
+        assert q.f_p == 0.0 and q.f_s == 0.0
 
     def test_unequal_widths_quadrature_path(self):
         geom = MziGeometry(delta_x=10e-6, w_x=100e-9, w_y=250e-9)
@@ -185,16 +221,68 @@ class TestQuadratureAgreement:
         d = 3.7e-6
 
         def shift(f):
-            return lambda qx, qy: f(qx, qy) * np.exp(1j * qx * d)
+            return lambda qx: f(qx) * np.exp(1j * qx * d)
 
         shifted = type(ov)(shift(ov.w_aa), shift(ov.w_bb),
                            shift(ov.w_ab), shift(ov.w_ba),
-                           scale_x=ov.scale_x, scale_y=ov.scale_y)
+                           scale_x=ov.scale_x, w_y=ov.w_y)
         for rc in (1e-7, 5e-7, 3e-6):
             a = f_quadrature(ov, rc)
             b = f_quadrature(shifted, rc)
             assert b.f_p == pytest.approx(a.f_p, rel=1e-9)
             assert b.f_s == pytest.approx(a.f_s, rel=1e-9)
+
+
+class TestSeparableQuadrature:
+    @pytest.mark.parametrize("geom,make_ov", [
+        (MZI, overlap_mzi), (SWI, overlap_swi),
+        (SCENARIOS["rb-swi-echo"].spec.geometry, overlap_swi),
+        (MZI_UNEQUAL, overlap_mzi),
+    ], ids=["mzi", "swi", "rb-swi-echo", "mzi-unequal"])
+    def test_matches_tensor_rule(self, geom, make_ov):
+        ov = make_ov(geom)
+        for rc in RC_GRID:
+            q = f_quadrature(ov, rc)
+            t_p, t_s = tensor_quad_once(ov, rc, refine=True)
+            assert q.f_p == pytest.approx(t_p, rel=1e-10, abs=0.0)
+            assert q.f_s == pytest.approx(t_s, rel=1e-10, abs=0.0)
+
+    def test_error_estimate_returned(self):
+        ov = overlap_swi(SWI)
+        q = f_quadrature(ov, 1e-6)
+        w_p, w_s = geometry._quad_once(ov, 1e-6, refine=False)
+        expected = max(abs(w_p - q.f_p) / max(abs(w_p), abs(q.f_p)),
+                       abs(w_s - q.f_s) / max(abs(w_s), abs(q.f_s)))
+        assert q.error == expected
+        assert 0.0 <= q.error <= 1e-8
+        assert f_closed(SWI, 1e-6).error is None
+
+    def test_error_estimate_exceeding_tolerance_raises(self):
+        with pytest.raises(geometry.QuadratureError, match="f_p quadrature"):
+            f_quadrature(overlap_swi(SWI), 1e-6, rel_tol=1e-300)
+
+    def test_gauss_rules_computed_once(self, monkeypatch):
+        calls = []
+        hermgauss = np.polynomial.hermite.hermgauss
+
+        def counting(n):
+            calls.append(n)
+            return hermgauss(n)
+
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", counting)
+        geometry._hermgauss.cache_clear()
+        try:
+            for ov in (overlap_swi(SWI), overlap_mzi(MZI)):
+                for rc in RC_GRID[::2]:
+                    f_quadrature(ov, rc)
+        finally:
+            geometry._hermgauss.cache_clear()
+        assert sorted(calls) == [80, 96]
+        for arrays in (geometry._hermgauss(80), geometry._leggauss(8)):
+            for a in arrays:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 0.0
 
 
 class TestLimits:
