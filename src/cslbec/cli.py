@@ -353,11 +353,11 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (core.SpecError, ValueError) as exc:
+    except (core.SpecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (geometry.QuadratureError, oracles.PositivityError,
-            FloatingPointError) as exc:
+            ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -3,7 +3,9 @@
 All other modules consume the value objects defined here.  Unit conventions:
 angles in radians, times in seconds, lengths in meters, rates in Hz.  The
 JSON schema consumed by the CLI carries unit-suffixed field names (``t_s``,
-``rc_m``, ...) to prevent silent unit mistakes; unknown keys are rejected.
+``x0_m``, ...) to prevent silent unit mistakes; unknown keys are rejected.
+One table, ``_SCHEMA``, declares each field's key, attribute, JSON type and
+range: parsing, serialising and the per-field checks of ``validate`` read it.
 """
 
 from __future__ import annotations
@@ -11,8 +13,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 import warnings
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = [
     "HBAR",
@@ -42,7 +46,7 @@ RB87_MASS_U = 86.909180         # Rb-87 mass in u
 CS133_MASS_U = 132.905452       # Cs-133 mass in u
 
 # Narrow-phase Gaussian treatment requires sigma_phi(0) <= pi/3.
-_MAX_XI0_SQ_OVER_N = math.pi ** 2 / 9.0
+_MAX_SIGMA_PHI0 = math.pi / 3.0
 
 
 class SpecError(ValueError):
@@ -140,74 +144,6 @@ class ExperimentSpec:
         return self.state.xi0 ** 2 / self.state.n_atoms
 
 
-def _float_fields(obj, prefix: str = ""):
-    """(dotted name, value) of every float field, nested dataclasses too."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if is_dataclass(value):
-            yield from _float_fields(value, f"{prefix}{f.name}.")
-        elif isinstance(value, float):
-            yield prefix + f.name, value
-
-
-def validate(spec: ExperimentSpec) -> list:
-    """Collect every violated invariant as a message; never raises.
-
-    A NaN or infinite number gives one violation per field, and then the
-    range checks are skipped: they mean nothing for such values.  Soft
-    conditions (MZI separation regime, echo with zero dispersion) emit a
-    ``UserWarning`` instead of a violation.  ``CslPoint`` checks its own
-    fields on construction.
-    """
-    v = [f"{name} must be finite, got {value!r}"
-         for name, value in _float_fields(spec)
-         if not math.isfinite(value)]
-    if v:
-        return v
-
-    if spec.species.mass_u <= 0:
-        v.append("mass_u must be positive")
-
-    g = spec.geometry
-    if isinstance(g, MziGeometry):
-        if g.delta_x <= 0 or g.w_x <= 0 or g.w_y <= 0:
-            v.append("MZI lengths must be positive")
-        elif g.delta_x < 10.0 * g.w_x:
-            warnings.warn(
-                "MZI geometry intended for delta_x >> w_x", stacklevel=2
-            )
-    elif isinstance(g, SwiGeometry):
-        if g.x0 <= 0 or g.w_y <= 0:
-            v.append("SWI lengths must be positive")
-    else:
-        v.append("geometry must be MziGeometry or SwiGeometry")
-
-    s = spec.state
-    if s.n_atoms < 2:
-        v.append("n_atoms must be >= 2")
-    if s.xi0 <= 0:
-        v.append("xi0 must be positive")
-    if s.sigma_n0 is not None and s.sigma_n0 < 0:
-        v.append("sigma_n0 must be nonnegative")
-    if s.n_atoms >= 2 and s.xi0 > 0:
-        if s.xi0 ** 2 / s.n_atoms > _MAX_XI0_SQ_OVER_N:
-            v.append("xi0^2/N exceeds pi^2/9: narrow-phase treatment invalid")
-
-    p = spec.protocol
-    if p.t <= 0:
-        v.append("t must be positive")
-    if p.echo and p.zeta == 0:
-        warnings.warn("echo protocol with zeta = 0 has no effect", stacklevel=2)
-
-    if spec.noise.gamma < 0:
-        v.append("gamma must be nonnegative")
-
-    if spec.xi_t is not None and spec.xi_t < s.xi0:
-        v.append("xi_t < xi0: observed narrowing is unphysical")
-
-    return v
-
-
 def _check_seed(seed) -> None:
     """Reject a Monte Carlo seed outside the uint64 range of a Philox key."""
     if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2 ** 64:
@@ -235,117 +171,171 @@ def ground_state_width(omega: float, species: Species, convention: str) -> float
 
 # --- JSON schema ------------------------------------------------------------
 
-def _check_keys(d: dict, allowed: set, context: str) -> None:
-    unknown = set(d) - allowed
+class _Field(NamedTuple):
+    """One JSON key of a spec group and the dataclass attribute it fills."""
+
+    key: str               # JSON key, unit-suffixed
+    attr: str              # dataclass attribute
+    kind: type = float     # float, int, bool or str: see _parse
+    required: bool = True  # else the dataclass default applies
+    rule: str = ""         # range rule, a key of _RULES
+
+
+# (JSON group, geometry type, dataclass, fields); the observation group's
+# fields are ExperimentSpec's own.  A group with no required field may be
+# left out.
+_SCHEMA = (
+    ("species", None, Species, (
+        _Field("name", "name", str),
+        _Field("mass_u", "mass_u", rule="positive"))),
+    ("geometry", "mzi", MziGeometry, (
+        _Field("delta_x_m", "delta_x", rule="positive"),
+        _Field("w_x_m", "w_x", rule="positive"),
+        _Field("w_y_m", "w_y", required=False, rule="positive"))),
+    ("geometry", "swi", SwiGeometry, (
+        _Field("x0_m", "x0", rule="positive"),
+        _Field("w_y_m", "w_y", required=False, rule="positive"))),
+    ("state", None, InitialState, (
+        _Field("n_atoms", "n_atoms", int, rule=">= 2"),
+        _Field("xi0", "xi0", rule="positive"),
+        _Field("sigma_n0", "sigma_n0", required=False, rule="nonnegative"))),
+    ("protocol", None, Protocol, (
+        _Field("t_s", "t", rule="positive"),
+        _Field("zeta_rad_s", "zeta", required=False),
+        _Field("echo", "echo", bool, required=False),
+        _Field("phase_mean_rad", "phase_mean", required=False),
+        _Field("epsilon_over_hbar_rad_s", "epsilon_over_hbar",
+               required=False))),
+    ("noise", None, NoiseModel, (
+        _Field("gamma_hz", "gamma", required=False, rule="nonnegative"),)),
+    ("observation", None, ExperimentSpec, (
+        _Field("xi_t", "xi_t", required=False),)),
+)
+
+_RULES = {
+    "positive": lambda x: x > 0,
+    "nonnegative": lambda x: x >= 0,
+    ">= 2": lambda x: x >= 2,
+}
+
+# the int kind is n_atoms: every formula divides by float(N)
+_JSON_TYPES = {
+    float: "a JSON number in the float range",
+    int: "an integral number in [-2**53, 2**53]",
+    bool: "a JSON boolean",
+    str: "a JSON string",
+}
+
+
+def _groups(spec: ExperimentSpec):
+    """(JSON group, geometry type, fields, object) of each group of ``spec``."""
+    for group, gtype, cls, flds in _SCHEMA:
+        obj = spec if cls is ExperimentSpec else getattr(spec, group)
+        if isinstance(obj, cls):
+            yield group, gtype, flds, obj
+
+
+def validate(spec: ExperimentSpec) -> list:
+    """Collect every violated invariant as a message; never raises.
+
+    A NaN or infinite number gives one violation per field, and then the
+    range checks are skipped: they mean nothing for such values.  Soft
+    conditions (MZI separation regime, echo with zero dispersion) emit a
+    ``UserWarning`` instead of a violation.  ``CslPoint`` checks its own
+    fields on construction.
+    """
+    nonfinite, v = [], []
+    for group, _, flds, obj in _groups(spec):
+        for f in flds:
+            name = f.attr if obj is spec else f"{group}.{f.attr}"
+            value = getattr(obj, f.attr)
+            if isinstance(value, float) and not math.isfinite(value):
+                nonfinite.append(f"{name} must be finite, got {value!r}")
+            elif f.rule and value is not None and not _RULES[f.rule](value):
+                v.append(f"{name} must be {f.rule}")
+    if nonfinite:
+        return nonfinite
+
+    g, s, p = spec.geometry, spec.state, spec.protocol
+    if not isinstance(g, (MziGeometry, SwiGeometry)):
+        v.append("geometry must be MziGeometry or SwiGeometry")
+    elif isinstance(g, MziGeometry) and 0 < g.delta_x < 10.0 * g.w_x:
+        warnings.warn("MZI geometry intended for delta_x >> w_x", stacklevel=2)
+    if s.n_atoms >= 2 and s.xi0 / math.sqrt(s.n_atoms) > _MAX_SIGMA_PHI0:
+        v.append("xi0^2/N exceeds pi^2/9: narrow-phase treatment invalid")
+    if p.echo and p.zeta == 0:
+        warnings.warn("echo protocol with zeta = 0 has no effect", stacklevel=2)
+    if spec.xi_t is not None and spec.xi_t < s.xi0:
+        v.append("xi_t < xi0: observed narrowing is unphysical")
+    return v
+
+
+def _parse(value, kind: type, name: str):
+    """``value`` as a ``kind``; SpecError unless it is that JSON type.
+
+    NaN and infinities pass as floats, and ``validate`` names them.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is float:
+        ok = number and (isinstance(value, float)
+                         or abs(value) <= sys.float_info.max)
+    elif kind is int:
+        ok = number and abs(value) <= 2 ** 53 and value % 1 == 0
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise SpecError(f"{name} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return kind(value)
+
+
+def _members(value, allowed: set, name: str) -> dict:
+    """``value`` if it is a JSON object with keys from ``allowed``."""
+    if not isinstance(value, dict):
+        raise SpecError(f"{name} must be a JSON object, got {value!r}")
+    unknown = set(value) - allowed
     if unknown:
-        raise SpecError(f"unknown keys in {context}: {sorted(unknown)}")
-
-
-def _require(d: dict, key: str, context: str):
-    if key not in d:
-        raise SpecError(f"missing key {key!r} in {context}")
-    return d[key]
-
-
-def _integral(value, name: str) -> int:
-    """An integral JSON number (3 or 3.0); bools and 2.9 are SpecErrors."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SpecError(f"{name} must be an integral number, got {value!r}")
+        raise SpecError(f"unknown keys in {name}: {sorted(unknown)}")
     return value
 
 
 def spec_from_dict(d: dict) -> ExperimentSpec:
     """Build an ExperimentSpec from the strict unit-suffixed JSON schema."""
-    if not isinstance(d, dict):
-        raise SpecError("experiment spec must be a JSON object")
-    _check_keys(
-        d,
-        {"species", "geometry", "state", "protocol", "noise", "observation"},
-        "spec",
-    )
-
-    sp = _require(d, "species", "spec")
-    _check_keys(sp, {"name", "mass_u"}, "species")
-    species = Species(_require(sp, "name", "species"),
-                      float(_require(sp, "mass_u", "species")))
-
-    ge = _require(d, "geometry", "spec")
-    gtype = _require(ge, "type", "geometry")
-    if gtype == "mzi":
-        _check_keys(ge, {"type", "delta_x_m", "w_x_m", "w_y_m"}, "geometry")
-        geometry = MziGeometry(
-            float(_require(ge, "delta_x_m", "geometry")),
-            float(_require(ge, "w_x_m", "geometry")),
-            float(ge["w_y_m"]) if "w_y_m" in ge else None,
-        )
-    elif gtype == "swi":
-        _check_keys(ge, {"type", "x0_m", "w_y_m"}, "geometry")
-        geometry = SwiGeometry(
-            float(_require(ge, "x0_m", "geometry")),
-            float(ge["w_y_m"]) if "w_y_m" in ge else None,
-        )
-    else:
-        raise SpecError(f"geometry type must be 'mzi' or 'swi', got {gtype!r}")
-
-    st = _require(d, "state", "spec")
-    _check_keys(st, {"n_atoms", "xi0", "sigma_n0"}, "state")
-    state = InitialState(
-        _integral(_require(st, "n_atoms", "state"), "state.n_atoms"),
-        float(_require(st, "xi0", "state")),
-        float(st["sigma_n0"]) if "sigma_n0" in st else None,
-    )
-
-    pr = _require(d, "protocol", "spec")
-    _check_keys(
-        pr,
-        {"t_s", "zeta_rad_s", "echo", "phase_mean_rad", "epsilon_over_hbar_rad_s"},
-        "protocol",
-    )
-    echo = pr.get("echo", False)
-    if not isinstance(echo, bool):
-        raise SpecError(f"protocol.echo must be a JSON boolean, got {echo!r}")
-    protocol = Protocol(
-        t=float(_require(pr, "t_s", "protocol")),
-        zeta=float(pr.get("zeta_rad_s", 0.0)),
-        echo=echo,
-        phase_mean=float(pr.get("phase_mean_rad", 0.0)),
-        epsilon_over_hbar=float(pr.get("epsilon_over_hbar_rad_s", 0.0)),
-    )
-
-    no = d.get("noise", {})
-    _check_keys(no, {"gamma_hz"}, "noise")
-    noise = NoiseModel(float(no.get("gamma_hz", 0.0)))
-
-    ob = d.get("observation", {})
-    _check_keys(ob, {"xi_t"}, "observation")
-    xi_t = float(ob["xi_t"]) if "xi_t" in ob else None
-
-    return ExperimentSpec(species, geometry, state, protocol, noise, xi_t)
+    _members(d, {group for group, *_ in _SCHEMA}, "experiment spec")
+    parts = {}
+    for group, gtype, cls, flds in _SCHEMA:
+        obj = d.get(group, {})
+        if gtype is not None and isinstance(obj, dict) \
+                and obj.get("type") != gtype:
+            continue
+        _members(obj, {f.key for f in flds} | ({"type"} if gtype else set()),
+                 group)
+        values = {}
+        for f in flds:
+            if f.key in obj:
+                values[f.attr] = _parse(obj[f.key], f.kind, f"{group}.{f.key}")
+            elif f.required:
+                raise SpecError(f"{group}.{f.key} is required")
+        if cls is ExperimentSpec:
+            parts.update(values)
+        else:
+            parts[group] = cls(**values)
+    if "geometry" not in parts:
+        raise SpecError("geometry.type must be 'mzi' or 'swi', "
+                        f"got {d.get('geometry', {}).get('type')!r}")
+    return ExperimentSpec(**parts)
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:
-    g = spec.geometry
-    if isinstance(g, MziGeometry):
-        geometry = {"type": "mzi", "delta_x_m": g.delta_x,
-                    "w_x_m": g.w_x, "w_y_m": g.w_y}
-    else:
-        geometry = {"type": "swi", "x0_m": g.x0, "w_y_m": g.w_y}
-    d = {
-        "species": {"name": spec.species.name, "mass_u": spec.species.mass_u},
-        "geometry": geometry,
-        "state": {"n_atoms": spec.state.n_atoms, "xi0": spec.state.xi0,
-                  "sigma_n0": spec.state.sigma_n0},
-        "protocol": {"t_s": spec.protocol.t,
-                     "zeta_rad_s": spec.protocol.zeta,
-                     "echo": spec.protocol.echo,
-                     "phase_mean_rad": spec.protocol.phase_mean,
-                     "epsilon_over_hbar_rad_s": spec.protocol.epsilon_over_hbar},
-        "noise": {"gamma_hz": spec.noise.gamma},
-    }
-    if spec.xi_t is not None:
-        d["observation"] = {"xi_t": spec.xi_t}
+    """The JSON form of ``spec``; fields that are None are left out."""
+    d = {}
+    for group, gtype, flds, obj in _groups(spec):
+        out = {} if gtype is None else {"type": gtype}
+        for f in flds:
+            value = getattr(obj, f.attr)
+            if value is not None:
+                out[f.key] = value
+        if out:
+            d[group] = out
     return d
 
 

@@ -47,7 +47,8 @@ class OverlapMatrix:
     The callables ``w_aa``, ``w_bb``, ``w_ab`` and ``w_ba`` are the qx
     factors: they accept numpy arrays and return complex values satisfying
     w_jk(qx) = conj(w_kj(-qx)), |w_jk| <= 1 and w_aa(0) = w_bb(0) = 1.
-    ``w_y`` is the transverse width of the Gaussian factor all four share.
+    ``w_diff`` is w_aa - w_bb in a form free of cancellation.
+    ``w_y`` is the transverse width of the Gaussian factor all five share.
 
     ``scale_x`` gives the Gaussian decay length of the qx envelope
     (|w|^2 ~ exp(-qx^2 scale_x^2)); ``osc_x`` bounds the length scale of any
@@ -59,6 +60,7 @@ class OverlapMatrix:
     w_bb: callable
     w_ab: callable
     w_ba: callable
+    w_diff: callable
     scale_x: float
     w_y: float
     osc_x: float = 0.0
@@ -82,6 +84,7 @@ def overlap_mzi(geometry: MziGeometry) -> OverlapMatrix:
         return np.zeros(np.shape(qx), dtype=complex)
 
     return OverlapMatrix(w_aa, w_bb, zero, zero,
+                         lambda qx: w_aa(qx) - w_bb(qx),
                          scale_x=wx, w_y=geometry.w_y, osc_x=dx)
 
 
@@ -98,7 +101,9 @@ def overlap_swi(geometry: SwiGeometry) -> OverlapMatrix:
     def w_ab(qx):
         return 1j * qx * x0 * w_aa(qx)
 
+    # w_aa - w_bb without the cancellation of 1 - (1 - qx^2 x0^2)
     return OverlapMatrix(w_aa, w_bb, w_ab, w_ab,
+                         lambda qx: qx ** 2 * x0 ** 2 * w_aa(qx),
                          scale_x=x0, w_y=geometry.w_y)
 
 
@@ -136,10 +141,11 @@ def f_closed(geometry, rc) -> GeometryFactors:
     if isinstance(geometry, MziGeometry):
         wx, wy, dx = geometry.w_x, geometry.w_y, geometry.delta_x
         # the transverse ratio is exactly 1.0 for w_x = w_y, and stays
-        # finite where rc^2 underflows
-        f_p = (-np.expm1(-dx ** 2 / (4.0 * (wx ** 2 + r ** 2)))) \
-            / (1.0 + wx ** 2 / r ** 2) \
-            * np.sqrt((wx ** 2 + r ** 2) / (wy ** 2 + r ** 2))
+        # finite where rc^2 underflows; wx^2/rc^2 is then inf, giving 0
+        with np.errstate(divide="ignore"):
+            f_p = (-np.expm1(-dx ** 2 / (4.0 * (wx ** 2 + r ** 2)))) \
+                / (1.0 + wx ** 2 / r ** 2) \
+                * np.sqrt((wx ** 2 + r ** 2) / (wy ** 2 + r ** 2))
         f_s = np.zeros_like(f_p)
     elif isinstance(geometry, SwiGeometry):
         x0, wy = geometry.x0, geometry.w_y
@@ -213,7 +219,7 @@ def _quad_once(overlaps: OverlapMatrix, rc: float, refine: bool):
     wwy = wy * np.exp(-(qy ** 2) * (rc ** 2 - sy ** 2))
     y_sum = np.sum(wwy * np.exp(-(qy ** 2) * overlaps.w_y ** 2))
 
-    d = overlaps.w_aa(qx) - overlaps.w_bb(qx)
+    d = overlaps.w_diff(qx)
     e = overlaps.w_ab(qx) + overlaps.w_ba(qx)
     f_p = np.sum(wwx * (d.real ** 2 + d.imag ** 2))
     f_s = np.sum(wwx * (e.real ** 2 + e.imag ** 2))

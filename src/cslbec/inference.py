@@ -156,8 +156,9 @@ def repetitions(spec: ExperimentSpec, rc: float, mode: str,
     """
     if lambda_min is None:
         lambda_min = lambda_bound(spec, rc, mode, fp_cap_one=fp_cap_one)
-    if lambda_min <= 0 or delta <= 0:
-        raise ValueError("lambda_min and delta must be positive")
+    for name, value in (("lambda_min", lambda_min), ("delta", delta)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     split = variance_split(spec, rc, mode, fp_cap_one=fp_cap_one)
 
     def k_of(conv):
@@ -213,6 +214,8 @@ def calibrate_estimator(spec: ExperimentSpec, rc: float, mode: str,
     """
     if k < 100:
         raise ValueError("k must be >= 100")
+    if n_meta < 2:
+        raise ValueError(f"n_meta must be >= 2 for a spread, got {n_meta!r}")
     _check_seed(seed)
     split = variance_split(spec, rc, mode, fp_cap_one=fp_cap_one)
     n = spec.state.n_atoms

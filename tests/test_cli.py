@@ -255,6 +255,13 @@ class TestSpecFiles:
         assert code == 2
         assert "error" in err
 
+    def test_missing_spec_file_is_config_error(self, capsys, tmp_path):
+        code, out, err = run_capture(capsys, [
+            "bound", "--spec", str(tmp_path / "absent.json"), "--rc-m", "1e-6"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "absent.json" in err
+
     def test_invalid_physics_is_config_error(self, capsys, tmp_path):
         def mutate(d):
             d["protocol"]["t_s"] = -1.0
@@ -332,6 +339,20 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error: seed")
+
+    @pytest.mark.parametrize("argv, name", [
+        (["calibrate", "--scenario", "rb-mzi", "--k", "300",
+          "--n-meta", n_meta], "n_meta") for n_meta in ("1", "0")] + [
+        (["repetitions", "--scenario", "rb-mzi", "--delta=nan"], "delta"),
+        (["repetitions", "--scenario", "rb-mzi", "--lambda-min-hz=nan"],
+         "lambda_min"),
+        (["table1", "--delta=nan"], "delta"),
+    ])
+    def test_bad_inference_argument_is_named(self, capsys, argv, name):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {name} must be")
 
     @pytest.mark.parametrize("argv", [
         ["bound", "--scenario", "rb-swi", "--rc-m=nan"],

@@ -1,8 +1,16 @@
+import contextlib
+import copy
+import io
 import json
 import math
+import os
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import Phase, assume, given, settings, strategies as st
 
+from cslbec import cli
 from cslbec.core import (
     CslPoint,
     ExperimentSpec,
@@ -20,6 +28,7 @@ from cslbec.core import (
     spec_to_dict,
     validate,
 )
+from cslbec.scenarios import SCENARIOS
 
 
 def make_spec(**kw):
@@ -196,7 +205,7 @@ class TestSerialization:
             spec_from_dict(d)
 
     @pytest.mark.parametrize("n_atoms", [2.9, 3e5 + 0.5, True, "300000",
-                                         math.inf, math.nan])
+                                         math.inf, math.nan, 2 ** 53 + 1])
     def test_n_atoms_must_be_integral(self, n_atoms):
         d = spec_to_dict(make_spec())
         d["state"]["n_atoms"] = n_atoms
@@ -214,6 +223,157 @@ class TestSerialization:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec_to_dict(make_spec())))
         assert load_spec(path) == make_spec()
+
+
+# reproduced spec files that gave a traceback, a silent coercion or an
+# unrelated error: (group, key or None for the group, value, message start)
+MALFORMED = [
+    ("geometry", None, 5, "geometry must be a JSON object"),
+    ("noise", None, None, "noise must be a JSON object"),
+    ("observation", None, [], "observation must be a JSON object"),
+    ("state", "xi0", None, "state.xi0 must be a JSON number"),
+    ("state", "sigma_n0", None, "state.sigma_n0 must be a JSON number"),
+    ("geometry", "w_y_m", None, "geometry.w_y_m must be a JSON number"),
+    ("state", "n_atoms", 1e300, "state.n_atoms must be an integral number"),
+    ("state", "n_atoms", 10 ** 400, "state.n_atoms must be an integral "
+                                    "number"),
+    ("state", "xi0", "0.9", "state.xi0 must be a JSON number"),
+    ("state", "xi0", True, "state.xi0 must be a JSON number"),
+    ("species", "mass_u", True, "species.mass_u must be a JSON number"),
+    ("species", "mass_u", 10 ** 400, "species.mass_u must be a JSON number"),
+    ("species", "name", 5, "species.name must be a JSON string"),
+]
+
+# the leaves a spec file may hold by mistake
+ODD_LEAVES = st.sampled_from([
+    None, True, False, "", "0.9", [], [1.0], {}, {"a": 1}, 0, -1, 0.0,
+    5e-324, 1e300, 10 ** 400, -(10 ** 400), 2 ** 53 + 1, math.nan,
+    math.inf, -math.inf])
+JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats()
+               | st.text(max_size=4))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=4), children,
+                                        max_size=3)),
+    max_leaves=8)
+# no shrinking: shrinking a failing CLI run took minutes and most of a GB,
+# while a derandomized failure already reproduces as it is reported
+FUZZ = settings(derandomize=True, deadline=None, max_examples=200,
+                phases=(Phase.explicit, Phase.generate))
+
+
+def _key_paths(d, prefix=()):
+    for key, value in d.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+@st.composite
+def damaged_specs(draw):
+    """A scenario's spec dict with keys dropped or leaves replaced."""
+    d = copy.deepcopy(spec_to_dict(draw(st.sampled_from(
+        list(SCENARIOS.values()))).spec))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_key_paths(d))
+        if not paths:
+            break
+        *outer, key = draw(st.sampled_from(paths))
+        group = d
+        for k in outer:
+            group = group[k]
+        if draw(st.booleans()):
+            del group[key]
+        else:
+            group[key] = draw(ODD_LEAVES | JSON_LEAVES | JSON_VALUES)
+    return d
+
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def specs(draw):
+    """Dataclass specs over every field's range; validate may reject some."""
+    xi0 = draw(POSITIVE)
+    return ExperimentSpec(
+        species=Species(draw(st.text(max_size=8)), draw(POSITIVE)),
+        geometry=draw(
+            st.builds(MziGeometry, POSITIVE, POSITIVE, st.none() | POSITIVE)
+            | st.builds(SwiGeometry, POSITIVE, st.none() | POSITIVE)),
+        state=InitialState(draw(st.integers(2, 2 ** 53)), xi0,
+                           draw(st.none() | NONNEGATIVE)),
+        protocol=Protocol(draw(POSITIVE), draw(FINITE), draw(st.booleans()),
+                          draw(FINITE), draw(FINITE)),
+        noise=NoiseModel(draw(NONNEGATIVE)),
+        xi_t=draw(st.none() | st.floats(min_value=xi0,
+                                        allow_infinity=False)),
+    )
+
+
+def run_bound(d):
+    """Exit code and stderr of ``cslbec bound`` on ``d`` as a spec file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(d, f)
+        err = io.StringIO()
+        with warnings.catch_warnings(), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("ignore")
+            code = cli.run(["bound", "--spec", path, "--rc-m", "1e-6"])
+    return code, err.getvalue()
+
+
+class TestSpecFuzz:
+    @pytest.mark.parametrize("group, key, value, message", MALFORMED, ids=[
+        f"{group}.{key}:{type(value).__name__}"
+        for group, key, value, _ in MALFORMED])
+    def test_malformed_spec_is_named_error(self, group, key, value,
+                                           message):
+        d = spec_to_dict(make_spec())
+        if key is None:
+            d[group] = value
+        else:
+            d[group][key] = value
+        with pytest.raises(SpecError, match="^" + message):
+            spec_from_dict(d)
+        code, err = run_bound(d)
+        assert code == 2
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
+
+    @FUZZ
+    @given(JSON_VALUES | damaged_specs())
+    def test_any_json_gives_spec_or_spec_error(self, value):
+        try:
+            spec = spec_from_dict(value)
+        except SpecError:
+            return
+        assert isinstance(spec, ExperimentSpec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert all(isinstance(msg, str) for msg in validate(spec))
+
+    @FUZZ
+    @given(damaged_specs() | specs().map(spec_to_dict))
+    def test_cli_exit_code(self, d):
+        code, err = run_bound(d)
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err
+
+    @FUZZ
+    @given(specs())
+    def test_round_trip_of_valid_specs(self, spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assume(validate(spec) == [])
+        d = json.loads(json.dumps(spec_to_dict(spec)))
+        assert spec_from_dict(d) == spec
 
 
 def test_species_constants():

@@ -45,8 +45,8 @@ def brute_force_factors(overlaps, rc):
 def tensor_quad_once(overlaps, rc, refine):
     """Reference: the 2D tensor-product rule over (qx, qy) nodes.
 
-    Same axis rules as geometry._quad_once, but summing the full 2D
-    integrand instead of factoring out the shared qy integral.
+    Same axis rules and overlaps as geometry._quad_once, but summing the
+    full 2D integrand instead of factoring out the shared qy integral.
     """
     sx = math.sqrt(rc ** 2 + overlaps.scale_x ** 2)
     sy = math.sqrt(rc ** 2 + overlaps.w_y ** 2)
@@ -59,7 +59,7 @@ def tensor_quad_once(overlaps, rc, refine):
     ww = wx[:, None] * wy[None, :] * env
     y = np.exp(-(qy ** 2) * overlaps.w_y ** 2 / 2)
 
-    d = (overlaps.w_aa(qx) - overlaps.w_bb(qx)) * y
+    d = overlaps.w_diff(qx) * y
     e = (overlaps.w_ab(qx) + overlaps.w_ba(qx)) * y
     f_p = np.sum(ww * (d.real ** 2 + d.imag ** 2))
     f_s = np.sum(ww * (e.real ** 2 + e.imag ** 2))
@@ -88,6 +88,8 @@ class TestOverlapMzi:
         rhs = 2.0 * np.exp(-qx ** 2 * MZI.w_x ** 2) \
             * (1.0 - np.cos(qx * MZI.delta_x))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
+        np.testing.assert_array_equal(ov.w_diff(qx),
+                                      ov.w_aa(qx) - ov.w_bb(qx))
 
     def test_hermiticity(self):
         ov = overlap_mzi(MZI)
@@ -106,6 +108,19 @@ class TestOverlapSwi:
     def test_excited_mode_zero_crossing(self):
         ov = overlap_swi(SWI)
         assert abs(ov.w_bb(1.0 / SWI.x0)) < 1e-15
+
+    def test_population_difference_without_cancellation(self):
+        # w_aa - w_bb = qx^2 x0^2 w_aa; the subtraction loses every digit
+        # as qx x0 -> 0, the direct form none
+        ov = overlap_swi(SWI)
+        qx = np.geomspace(1e-9, 3.0, 40) / SWI.x0
+        exact = (qx * SWI.x0) ** 2 * np.exp(-(qx * SWI.x0) ** 2 / 2)
+        np.testing.assert_allclose(ov.w_diff(qx).real, exact, rtol=1e-14)
+        assert np.all(ov.w_diff(qx).imag == 0.0)
+        big = qx * SWI.x0 > 0.1
+        np.testing.assert_allclose(ov.w_diff(qx[big]),
+                                   ov.w_aa(qx[big]) - ov.w_bb(qx[big]),
+                                   rtol=1e-13)
 
     def test_exchange_algebra(self):
         # |w_ab + w_ba|^2 = 4 qx^2 x0^2 exp(-qx^2 x0^2)
@@ -132,10 +147,12 @@ class TestClosedForms:
         # a wider transverse mode lowers f_P at every rc
         assert np.all(f.f_p < f_closed(MZI, RC_GRID).f_p)
 
+    @pytest.mark.filterwarnings("error")
     def test_mzi_unequal_widths_finite_at_tiny_rc(self):
-        with np.errstate(divide="ignore"):
-            f = f_closed(MZI_UNEQUAL, np.array([1e-200, 5e-324]))
-        assert np.all(f.f_p == 0.0)
+        # rc^2 underflows to 0 here, silently, for equal widths too
+        for geom in (MZI_UNEQUAL, MZI):
+            f = f_closed(geom, np.array([1e-200, 5e-324]))
+            assert np.all(f.f_p == 0.0)
 
     def test_swi_optimum_values(self):
         x0 = SWI.x0
@@ -187,6 +204,15 @@ class TestQuadratureAgreement:
             else:
                 assert q.f_s == 0.0
 
+    def test_swi_large_rc(self):
+        # where q_x x0 is small across the whole Gaussian weight
+        ov = overlap_swi(SWI)
+        for rc in np.geomspace(1e-3, 1.0, 4):
+            c = f_closed(SWI, rc)
+            q = f_quadrature(ov, rc)
+            assert q.f_p == pytest.approx(c.f_p, rel=1e-9)
+            assert q.f_s == pytest.approx(c.f_s, rel=1e-9)
+
     @pytest.mark.parametrize("rc", [3e-8, 4e-7, 5e-6])
     def test_against_adaptive_oracle_swi(self, rc):
         ov = overlap_swi(SWI)
@@ -205,6 +231,7 @@ class TestQuadratureAgreement:
     def test_identical_modes_give_zero(self):
         ov = overlap_mzi(MZI)
         same = type(ov)(ov.w_aa, ov.w_aa, ov.w_ab, ov.w_ba,
+                        lambda qx: ov.w_aa(qx) - ov.w_aa(qx),
                         scale_x=ov.scale_x, w_y=ov.w_y, osc_x=ov.osc_x)
         q = f_quadrature(same, 1e-7)
         assert q.f_p == 0.0 and q.f_s == 0.0
@@ -224,7 +251,7 @@ class TestQuadratureAgreement:
             return lambda qx: f(qx) * np.exp(1j * qx * d)
 
         shifted = type(ov)(shift(ov.w_aa), shift(ov.w_bb),
-                           shift(ov.w_ab), shift(ov.w_ba),
+                           shift(ov.w_ab), shift(ov.w_ba), shift(ov.w_diff),
                            scale_x=ov.scale_x, w_y=ov.w_y)
         for rc in (1e-7, 5e-7, 3e-6):
             a = f_quadrature(ov, rc)
