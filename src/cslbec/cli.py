@@ -20,8 +20,6 @@ import numpy as np
 from . import core, dynamics, geometry, inference, oracles
 from .scenarios import SCENARIOS
 
-DEFAULT_SEED = 42
-
 
 def emit_csv(rows, schema, path=None):
     """Write rows as RFC-4180-style CSV with LF endings.
@@ -31,11 +29,7 @@ def emit_csv(rows, schema, path=None):
     """
 
     def fmt(x):
-        if isinstance(x, float):
-            if math.isnan(x):
-                return "nan"
-            return f"{x:.9g}"
-        return str(x)
+        return f"{x:.9g}" if isinstance(x, float) else str(x)
 
     out = sys.stdout if path is None else open(path, "w", newline="",
                                                encoding="utf-8")
@@ -49,7 +43,17 @@ def emit_csv(rows, schema, path=None):
             out.close()
 
 
+def _check_finite(obj, key=None):
+    """FloatingPointError naming the first NaN or infinity, which JSON lacks."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            _check_finite(v, k)
+    elif isinstance(obj, float) and not math.isfinite(obj):
+        raise FloatingPointError(f"{key} is {obj!r}, not a finite number")
+
+
 def _emit_json(obj, path=None):
+    _check_finite(obj)
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -77,30 +81,25 @@ def _parse_grid(text: str, linear: bool) -> np.ndarray:
 
 
 def _resolve(args):
-    """Spec, mode and working rc from --scenario or --spec (+ overrides)."""
-    if getattr(args, "scenario", None):
-        if args.scenario not in SCENARIOS:
-            raise core.SpecError(
-                f"unknown scenario {args.scenario!r}; "
-                f"available: {', '.join(sorted(SCENARIOS))}"
-            )
-        sc = SCENARIOS[args.scenario]
+    """Spec, mode, working rc and lambda_min from --scenario or --spec,
+    overridden by --mode, --rc-m and --lambda-min-hz where given."""
+    name, path = args.scenario, args.spec
+    if name:
+        sc = SCENARIOS[name]
         spec, mode, rc, lambda_min = sc.spec, sc.mode, sc.rc, sc.lambda_min
-    elif getattr(args, "spec", None):
-        spec = core.load_spec(args.spec)
+    elif path:
+        spec = core.load_spec(path)
         mode, rc, lambda_min = None, None, None
     else:
         raise core.SpecError("either --scenario or --spec is required")
 
-    if getattr(args, "mode", None):
-        mode = args.mode
-    if mode is None:
-        if isinstance(spec.geometry, core.MziGeometry):
-            mode = "mzi"
-        else:
-            mode = "swi_echo" if spec.protocol.echo else "swi_plain"
+    mode = getattr(args, "mode", None) or mode or (
+        "mzi" if isinstance(spec.geometry, core.MziGeometry)
+        else "swi_echo" if spec.protocol.echo else "swi_plain")
     if getattr(args, "rc_m", None) is not None:
         rc = args.rc_m
+    if rc is None and hasattr(args, "rc_m"):
+        raise core.SpecError(f"{args.command} requires --rc-m (or a scenario)")
     if getattr(args, "lambda_min_hz", None) is not None:
         lambda_min = args.lambda_min_hz
 
@@ -127,11 +126,16 @@ def _cmd_geometry(args):
     return 0
 
 
+def _point(args, rc):
+    """The CSL point at --lambda-hz and the working rc."""
+    if args.lambda_hz is None:
+        raise core.SpecError(f"{args.command} requires --lambda-hz")
+    return core.CslPoint(lam=args.lambda_hz, rc=rc)
+
+
 def _cmd_variance(args):
     spec, _, rc, _ = _resolve(args)
-    if rc is None or args.lambda_hz is None:
-        raise core.SpecError("variance requires --lambda-hz and --rc-m")
-    point = core.CslPoint(lam=args.lambda_hz, rc=rc)
+    point = _point(args, rc)
     moments = dynamics.phase_variance(spec, point)
     _emit_json({
         "sigma_phi_sq": moments.variance,
@@ -144,8 +148,6 @@ def _cmd_variance(args):
 
 def _cmd_bound(args):
     spec, mode, rc, _ = _resolve(args)
-    if rc is None:
-        raise core.SpecError("bound requires --rc-m (or a scenario)")
     lam = inference.lambda_bound(spec, rc, mode, fp_cap_one=args.fp_cap_one)
     _emit_json({"lambda_bound_hz": lam, "rc_m": rc, "mode": mode}, args.out)
     return 0
@@ -163,8 +165,6 @@ def _cmd_curve(args):
 
 def _cmd_repetitions(args):
     spec, mode, rc, lambda_min = _resolve(args)
-    if rc is None:
-        raise core.SpecError("repetitions requires --rc-m (or a scenario)")
     est = inference.repetitions(spec, rc, mode, lambda_min=lambda_min,
                                 delta=args.delta, fp_cap_one=args.fp_cap_one)
     _emit_json({
@@ -203,9 +203,7 @@ def _cmd_table1(args):
 
 def _cmd_simulate(args):
     spec, _, rc, _ = _resolve(args)
-    if rc is None or args.lambda_hz is None:
-        raise core.SpecError("simulate requires --lambda-hz and --rc-m")
-    point = core.CslPoint(lam=args.lambda_hz, rc=rc)
+    point = _point(args, rc)
     analytic = dynamics.phase_variance(spec, point).variance
     mc = oracles.sde_sample(spec, point, n_traj=args.n_traj,
                             n_steps=args.n_steps, seed=args.seed)
@@ -221,17 +219,14 @@ def _cmd_simulate(args):
 
 def _cmd_calibrate(args):
     spec, mode, rc, lambda_min = _resolve(args)
-    if rc is None or lambda_min is None:
+    if lambda_min is None:
         raise core.SpecError(
-            "calibrate requires --rc-m and --lambda-min-hz (or a scenario)"
-        )
-    if args.k is None:
-        est = inference.repetitions(spec, rc, mode, lambda_min=lambda_min,
-                                    delta=args.delta,
-                                    fp_cap_one=args.fp_cap_one)
-        k = est.k
-    else:
-        k = args.k
+            "calibrate requires --lambda-min-hz (or a scenario)")
+    k = args.k
+    if k is None:
+        k = inference.repetitions(spec, rc, mode, lambda_min=lambda_min,
+                                  delta=args.delta,
+                                  fp_cap_one=args.fp_cap_one).k
     res = inference.calibrate_estimator(
         spec, rc, mode, lambda_true=lambda_min, k=k, seed=args.seed,
         n_meta=args.n_meta, fp_cap_one=args.fp_cap_one)
@@ -268,83 +263,72 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, scenario=True):
-        if scenario:
-            p.add_argument("--scenario", choices=sorted(SCENARIOS))
-        p.add_argument("--spec", help="experiment spec JSON file")
+    def add_common(p):
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--scenario", choices=sorted(SCENARIOS))
+        source.add_argument("--spec", help="experiment spec JSON file")
         p.add_argument("--out", help="output file (default: stdout)")
+
+    def add_rc(p):
+        p.add_argument("--rc-m", type=float, dest="rc_m")
 
     def add_point(p):
         p.add_argument("--lambda-hz", type=float, dest="lambda_hz")
-        p.add_argument("--rc-m", type=float, dest="rc_m")
+        add_rc(p)
+
+    def add_grid(p):
+        p.add_argument("--rc", required=True, help="grid as min:max:points")
+        p.add_argument("--linear", action="store_true")
 
     def add_mode(p):
         p.add_argument("--mode", choices=inference.MODES)
         p.add_argument("--fp-cap-one", action="store_true",
                        help="set f_P = 1 (MZI plateau value)")
 
-    p = sub.add_parser("geometry", help="geometry factors on an rc grid")
-    add_common(p)
-    p.add_argument("--rc", required=True, help="grid as min:max:points")
-    p.add_argument("--linear", action="store_true")
-    p.set_defaults(func=_cmd_geometry)
+    def add_delta(p):
+        p.add_argument("--delta", type=float, default=0.1)
 
-    p = sub.add_parser("variance", help="forward phase variance at a point")
-    add_common(p)
-    add_point(p)
-    p.set_defaults(func=_cmd_variance)
+    def add_target(p):
+        add_delta(p)
+        p.add_argument("--lambda-min-hz", type=float, dest="lambda_min_hz")
 
-    p = sub.add_parser("bound", help="exclusion bound lambda(rc)")
-    add_common(p)
-    add_point(p)
-    add_mode(p)
-    p.set_defaults(func=_cmd_bound)
+    def add_seed(p):
+        p.add_argument("--seed", type=int, default=42)
 
-    p = sub.add_parser("curve", help="exclusion curve over an rc grid")
-    add_common(p)
-    add_mode(p)
-    p.add_argument("--rc", required=True, help="grid as min:max:points")
-    p.add_argument("--linear", action="store_true")
-    p.set_defaults(func=_cmd_curve)
+    def command(name, func, summary, *adders):
+        p = sub.add_parser(name, help=summary)
+        for add in adders:
+            add(p)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("repetitions", help="required measurement repetitions")
-    add_common(p)
-    add_point(p)
-    add_mode(p)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--lambda-min-hz", type=float, dest="lambda_min_hz")
-    p.set_defaults(func=_cmd_repetitions)
-
-    p = sub.add_parser("table1", help="repetition counts for all scenarios")
-    p.add_argument("--delta", type=float, default=0.1)
+    command("geometry", _cmd_geometry, "geometry factors on an rc grid",
+            add_common, add_grid)
+    command("variance", _cmd_variance, "forward phase variance at a point",
+            add_common, add_point)
+    command("bound", _cmd_bound, "exclusion bound lambda(rc)",
+            add_common, add_rc, add_mode)
+    command("curve", _cmd_curve, "exclusion curve over an rc grid",
+            add_common, add_mode, add_grid)
+    command("repetitions", _cmd_repetitions,
+            "required measurement repetitions",
+            add_common, add_rc, add_mode, add_target)
+    p = command("table1", _cmd_table1, "repetition counts for all scenarios",
+                add_delta)
     p.add_argument("--no-fp-cap", action="store_true",
                    help="use closed-form f_P instead of the plateau cap")
     p.add_argument("--csv", help="also write the table as CSV")
-    p.set_defaults(func=_cmd_table1)
-
-    p = sub.add_parser("simulate", help="stochastic oracle vs analytics")
-    add_common(p)
-    add_point(p)
+    p = command("simulate", _cmd_simulate, "stochastic oracle vs analytics",
+                add_common, add_point, add_seed)
     p.add_argument("--n-traj", type=int, default=10_000)
     p.add_argument("--n-steps", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("calibrate", help="Monte Carlo estimator calibration")
-    add_common(p)
-    add_point(p)
-    add_mode(p)
-    p.add_argument("--lambda-min-hz", type=float, dest="lambda_min_hz")
-    p.add_argument("--delta", type=float, default=0.1)
+    p = command("calibrate", _cmd_calibrate,
+                "Monte Carlo estimator calibration",
+                add_common, add_rc, add_mode, add_target, add_seed)
     p.add_argument("--k", type=int)
     p.add_argument("--n-meta", type=int, default=500)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(func=_cmd_calibrate)
-
-    p = sub.add_parser("scenarios", help="list built-in scenarios")
+    p = command("scenarios", _cmd_scenarios, "list built-in scenarios")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_scenarios)
-
     return parser
 
 

@@ -45,8 +45,8 @@ ATOMIC_MASS_KG = 1.66053906660e-27  # kg, unified atomic mass unit
 RB87_MASS_U = 86.909180         # Rb-87 mass in u
 CS133_MASS_U = 132.905452       # Cs-133 mass in u
 
-# Narrow-phase Gaussian treatment requires sigma_phi(0) <= pi/3.
-_MAX_SIGMA_PHI0 = math.pi / 3.0
+# Narrow-phase Gaussian treatment requires sigma_phi <= pi/3, at any time.
+_MAX_SIGMA_PHI = math.pi / 3.0
 
 
 class SpecError(ValueError):
@@ -110,10 +110,11 @@ class InitialState:
 
     def __post_init__(self):
         if self.sigma_n0 is None and self.n_atoms > 0 and self.xi0 > 0:
-            # minimum-uncertainty default: sigma_phi(0) * sigma_n(0) = 1
-            object.__setattr__(
-                self, "sigma_n0", math.sqrt(self.n_atoms) / self.xi0
-            )
+            # minimum-uncertainty default: sigma_phi(0) * sigma_n(0) = 1;
+            # left None where it overflows, which ``validate`` reports
+            sigma_n0 = math.sqrt(self.n_atoms) / self.xi0
+            if math.isfinite(sigma_n0):
+                object.__setattr__(self, "sigma_n0", sigma_n0)
 
 
 @dataclass(frozen=True)
@@ -261,8 +262,11 @@ def validate(spec: ExperimentSpec) -> list:
         v.append("geometry must be MziGeometry or SwiGeometry")
     elif isinstance(g, MziGeometry) and 0 < g.delta_x < 10.0 * g.w_x:
         warnings.warn("MZI geometry intended for delta_x >> w_x", stacklevel=2)
-    if s.n_atoms >= 2 and s.xi0 / math.sqrt(s.n_atoms) > _MAX_SIGMA_PHI0:
+    if s.n_atoms >= 2 and s.xi0 / math.sqrt(s.n_atoms) > _MAX_SIGMA_PHI:
         v.append("xi0^2/N exceeds pi^2/9: narrow-phase treatment invalid")
+    if s.sigma_n0 is None and s.n_atoms >= 2 and s.xi0 > 0:
+        v.append(f"state.xi0 = {s.xi0!r} is too small: the default "
+                 "state.sigma_n0 = sqrt(N)/xi0 overflows")
     if p.echo and p.zeta == 0:
         warnings.warn("echo protocol with zeta = 0 has no effect", stacklevel=2)
     if spec.xi_t is not None and spec.xi_t < s.xi0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CslPoint, ExperimentSpec, Species
+from .core import _MAX_SIGMA_PHI, CslPoint, ExperimentSpec, Species
 from .geometry import f_closed
 
 __all__ = [
@@ -30,8 +30,6 @@ __all__ = [
     "visibility",
     "count_distribution",
 ]
-
-_VALIDITY_SIGMA = math.pi / 3.0
 
 
 @dataclass(frozen=True)
@@ -48,9 +46,19 @@ class PhaseMoments:
     valid: bool = True  # False once sqrt(variance) > pi/3
 
 
+def _square(x: float, name: str) -> float:
+    """x ** 2, with an OverflowError that names x if the square overflows."""
+    try:
+        return x ** 2
+    except OverflowError:
+        raise OverflowError(
+            f"{name} squared overflows the float range ({name} = {x!r})"
+        ) from None
+
+
 def collapse_rates(lam, species: Species, f_p, f_s) -> Rates:
     """Gamma_P = 2 lambda (m/u)^2 f_P, Gamma_S = 2 lambda (m/u)^2 f_S."""
-    amp = 2.0 * lam * species.mass_u ** 2
+    amp = 2.0 * lam * _square(species.mass_u, "species.mass_u")
     return Rates(gamma_p=amp * f_p, gamma_s=amp * f_s)
 
 
@@ -88,11 +96,13 @@ class GaussianCharacteristic:
                   - N^2 Gamma_S tau/4 (q^2 + zeta*tau*q*s + zeta^2 tau^2/3 s^2)]
         """
         d = n_atoms ** 2 * r.gamma_s * tau / 2.0  # added number variance
+        zeta_sq = _square(zeta, "protocol.zeta")
+        tau_sq = _square(tau, "the leg duration")
         var_phi = (self.var_phi
                    + 2.0 * self.cov * zeta * tau
-                   + self.var_n * zeta ** 2 * tau ** 2
+                   + self.var_n * zeta_sq * tau_sq
                    + r.gamma_p * tau
-                   + d * zeta ** 2 * tau ** 2 / 3.0)
+                   + d * zeta_sq * tau_sq / 3.0)
         cov = self.cov + self.var_n * zeta * tau + d * zeta * tau / 2.0
         var_n = self.var_n + d
         return GaussianCharacteristic(var_phi, cov, var_n)
@@ -110,9 +120,10 @@ def propagator_parts(spec: ExperimentSpec, r: Rates) -> tuple:
     legs = (((p.zeta, p.t / 2.0), (-p.zeta, p.t / 2.0)) if p.echo
             else ((p.zeta, p.t),))
     shear = sum(zeta * tau for zeta, tau in legs)
-    var_n = spec.state.sigma_n0 ** 2
-    initial = GaussianCharacteristic(spec.sigma_phi0_sq + var_n * shear ** 2,
-                                     var_n * shear, var_n)
+    var_n = _square(spec.state.sigma_n0, "state.sigma_n0")
+    initial = GaussianCharacteristic(
+        spec.sigma_phi0_sq + var_n * _square(shear, "protocol.zeta * t"),
+        var_n * shear, var_n)
     noise = GaussianCharacteristic(0.0, 0.0, 0.0)
     for zeta, tau in legs:
         noise = noise.evolve(zeta, tau, r, spec.state.n_atoms)
@@ -138,7 +149,7 @@ def phase_variance(spec: ExperimentSpec, point: CslPoint) -> PhaseMoments:
                          + zeta^2 t^2 Gamma_S N^2 t / 24
     """
     var = _evolved_characteristic(spec, point).var_phi
-    valid = math.sqrt(var) <= _VALIDITY_SIGMA
+    valid = math.sqrt(var) <= _MAX_SIGMA_PHI
     if not valid:
         warnings.warn(
             f"sigma_phi = {math.sqrt(var):.3g} exceeds pi/3; "
@@ -175,14 +186,11 @@ def echo_characteristic_closed(spec: ExperimentSpec, point: CslPoint
     )
 
 
-def visibility(spec: ExperimentSpec, point: CslPoint,
-               include_noise: bool = True) -> float:
+def visibility(spec: ExperimentSpec, point: CslPoint) -> float:
     """Interference contrast exp(-Gamma_P t / 2), times exp(-gamma t)."""
     r = rates(point, spec.species, spec.geometry)
-    v = math.exp(-r.gamma_p * spec.protocol.t / 2.0)
-    if include_noise:
-        v *= math.exp(-spec.noise.gamma * spec.protocol.t)
-    return v
+    return (math.exp(-r.gamma_p * spec.protocol.t / 2.0)
+            * math.exp(-spec.noise.gamma * spec.protocol.t))
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,6 @@ class VarianceSplit:
 
 @dataclass(frozen=True)
 class ExclusionCurve:
-    label: str
     rc: np.ndarray            # m
     lambda_bound: np.ndarray  # Hz; NaN marks points with no positive bound
 
@@ -73,15 +72,14 @@ def _factors(spec: ExperimentSpec, rc, mode: str, fp_cap_one: bool):
 
 
 def variance_split(spec: ExperimentSpec, rc, mode: str,
-                   fp_cap_one: bool = False,
-                   include_noise: bool = False) -> VarianceSplit:
+                   fp_cap_one: bool = False) -> VarianceSplit:
     """Split the phase variance into conventional and collapse terms.
 
     Both are the forward model's propagator parts, run with the protocol
-    the mode names (two legs for ``swi_echo``): the initial part, plus
-    2*gamma*t when ``include_noise``, and the collapse part at lambda = 1
-    with the factors of ``_factors``.  ``rc`` may be an array.  The SWI
-    modes need an SWI geometry: MZI modes do not overlap.
+    the mode names (two legs for ``swi_echo``): the initial part, and the
+    collapse part at lambda = 1 with the factors of ``_factors``.  ``rc``
+    may be an array.  The SWI modes need an SWI geometry: MZI modes do not
+    overlap.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -93,10 +91,8 @@ def variance_split(spec: ExperimentSpec, rc, mode: str,
                                           echo=mode == "swi_echo"))
     initial, slope = propagator_parts(
         spec, collapse_rates(1.0, spec.species, f_p, f_s))
-    conv = initial.var_phi
-    if include_noise:
-        conv += 2.0 * spec.noise.gamma * spec.protocol.t
-    return VarianceSplit(sigma_conv_sq=conv, alpha_csl_sq=slope.var_phi)
+    return VarianceSplit(sigma_conv_sq=initial.var_phi,
+                         alpha_csl_sq=slope.var_phi)
 
 
 def _excess(spec: ExperimentSpec, split: VarianceSplit) -> float:
@@ -113,7 +109,11 @@ def lambda_bound(spec: ExperimentSpec, rc: float, mode: str,
     ExcessVarianceError when the observed spread is below the conventional
     prediction (negative excess signals an inconsistent spec, not a bound).
     """
-    split = variance_split(spec, rc, mode, fp_cap_one=fp_cap_one)
+    return _invert(spec, variance_split(spec, rc, mode,
+                                        fp_cap_one=fp_cap_one))
+
+
+def _invert(spec: ExperimentSpec, split: VarianceSplit) -> float:
     excess = _excess(spec, split)
     if excess < 0:
         raise ExcessVarianceError(
@@ -127,8 +127,7 @@ def lambda_bound(spec: ExperimentSpec, rc: float, mode: str,
 
 
 def exclusion_curve(spec: ExperimentSpec, mode: str, rc_grid,
-                    fp_cap_one: bool = False,
-                    label: str = "") -> ExclusionCurve:
+                    fp_cap_one: bool = False) -> ExclusionCurve:
     """lambda_bound over the grid; NaN where lambda_bound would raise."""
     rc_grid = np.asarray(rc_grid, dtype=float)
     split = variance_split(spec, rc_grid, mode, fp_cap_one=fp_cap_one)
@@ -136,7 +135,7 @@ def exclusion_curve(spec: ExperimentSpec, mode: str, rc_grid,
     bound = np.divide(excess, split.alpha_csl_sq,
                       out=np.full(rc_grid.shape, np.nan),
                       where=(excess >= 0) & (split.alpha_csl_sq > 0.0))
-    return ExclusionCurve(label=label, rc=rc_grid, lambda_bound=bound)
+    return ExclusionCurve(rc=rc_grid, lambda_bound=bound)
 
 
 def fisher_information(split: VarianceSplit, lam: float) -> float:
@@ -154,16 +153,21 @@ def repetitions(spec: ExperimentSpec, rc: float, mode: str,
     2*gamma*t = 0.5 * sigma_conv^2.  ``lambda_min`` defaults to the
     spec's own exclusion bound.
     """
+    split = variance_split(spec, rc, mode, fp_cap_one=fp_cap_one)
     if lambda_min is None:
-        lambda_min = lambda_bound(spec, rc, mode, fp_cap_one=fp_cap_one)
+        lambda_min = _invert(spec, split)
     for name, value in (("lambda_min", lambda_min), ("delta", delta)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-    split = variance_split(spec, rc, mode, fp_cap_one=fp_cap_one)
 
     def k_of(conv):
-        c = conv / (lambda_min * split.alpha_csl_sq)
-        return math.ceil(2.0 / delta ** 2 * (1.0 + c) ** 2)
+        try:
+            c = conv / (lambda_min * split.alpha_csl_sq)
+            return math.ceil(2.0 / delta ** 2 * (1.0 + c) ** 2)
+        except (OverflowError, ZeroDivisionError):
+            raise OverflowError(
+                "repetition count k overflows the float range at "
+                f"lambda_min = {lambda_min!r}, delta = {delta!r}") from None
 
     return RepetitionEstimate(
         fisher_info=fisher_information(split, lambda_min),
@@ -183,8 +187,7 @@ def table1(delta: float = 0.1, fp_cap_one: bool = True) -> list:
     from .scenarios import SCENARIOS
 
     rows = []
-    for name in ("rb-mzi", "rb-swi", "cs-mzi", "rb-swi-echo"):
-        sc = SCENARIOS[name]
+    for name, sc in SCENARIOS.items():
         cap = fp_cap_one and sc.mode == "mzi"
         est = repetitions(sc.spec, sc.rc, sc.mode, lambda_min=sc.lambda_min,
                           delta=delta, fp_cap_one=cap)

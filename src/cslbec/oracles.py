@@ -1,6 +1,8 @@
 """Independent numerical ground truth for the analytic dynamics.
 
-Two oracles, deliberately sharing no code with :mod:`cslbec.dynamics`:
+Two oracles that share none of the Gaussian propagation of
+:mod:`cslbec.dynamics`, only its ``Rates`` and ``PhaseMoments`` types and,
+for the sampler, the closed-form rates at a CSL point (``rates``):
 
 * an Euler-Maruyama sampler for the phase-space Fokker-Planck equation
   (drift d(phi) = zeta*n dt, diffusions Gamma_P in phi and N^2 Gamma_S / 2
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CslPoint, ExperimentSpec, _check_seed
+from .core import _MAX_SIGMA_PHI, CslPoint, ExperimentSpec, _check_seed
 from .dynamics import PhaseMoments, Rates, rates
 
 __all__ = [
@@ -37,6 +39,8 @@ __all__ = [
 ]
 
 _BLOCK = 4096  # trajectories per RNG stream
+_TOL_TRACE = 1e-9  # DickeState.check: trace and Hermiticity tolerance
+_TOL_POS = 1e-8    # DickeState.check: most negative eigenvalue allowed
 
 
 @dataclass(frozen=True)
@@ -173,29 +177,31 @@ class DickeState:
     n_atoms: int
     rho: np.ndarray
 
-    def check(self, tol_trace: float = 1e-9, tol_pos: float = 1e-8) -> None:
+    def check(self) -> None:
         tr = np.trace(self.rho)
-        if abs(tr - 1.0) > tol_trace:
+        if abs(tr - 1.0) > _TOL_TRACE:
             raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.2e}")
-        if np.max(np.abs(self.rho - self.rho.conj().T)) > tol_trace:
+        if np.max(np.abs(self.rho - self.rho.conj().T)) > _TOL_TRACE:
             raise ValueError("density matrix is not Hermitian")
         w = np.linalg.eigvalsh(self.rho)
-        if w[0] < -tol_pos:
+        if w[0] < -_TOL_POS:
             raise PositivityError(
-                f"smallest eigenvalue {w[0]:.3e} below -{tol_pos:.0e}"
+                f"smallest eigenvalue {w[0]:.3e} below -{_TOL_POS:.0e}"
             )
+
+
+def _spin_bands(n_atoms: int):
+    """J_z diagonal m = -J..J and J_+ sub-diagonal sqrt(j(j+1) - m(m+1))."""
+    j = n_atoms / 2.0
+    m = np.arange(-j, j + 1)
+    return m, np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1))
 
 
 def spin_operators(n_atoms: int):
     """Dense J_x, J_y, J_z for the symmetric J = N/2 block."""
-    j = n_atoms / 2.0
-    m = np.arange(-j, j + 1)
-    dim = n_atoms + 1
+    m, cp = _spin_bands(n_atoms)
     jz = np.diag(m).astype(complex)
-    # raising operator: J+ |j,m> = sqrt(j(j+1) - m(m+1)) |j,m+1>
-    cp = np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1))
-    jp = np.zeros((dim, dim), dtype=complex)
-    jp[np.arange(1, dim), np.arange(dim - 1)] = cp
+    jp = np.diag(cp, -1).astype(complex)
     jm = jp.conj().T
     jx = (jp + jm) / 2.0
     jy = (jp - jm) / 2.0j
@@ -309,9 +315,8 @@ def dicke_evolve(n_atoms: int, r: Rates, zeta: float,
     if r.gamma_p < 0 or r.gamma_s < 0:
         raise ValueError("rates must be nonnegative")
 
-    jx, _, jz = spin_operators(n_atoms)
-    mz = np.real(np.diag(jz))
-    jx_band = np.real(np.diag(jx, -1))
+    mz, cp = _spin_bands(n_atoms)
+    jx_band = cp / 2.0
 
     rho = initial.rho.astype(complex).copy()
     if echo:
@@ -357,4 +362,4 @@ def dicke_phase_variance(state: DickeState):
         )
     variance = var_jyp / (ex ** 2 + ey ** 2)
     return PhaseMoments(mean=alpha, variance=variance, t=math.nan,
-                        valid=math.sqrt(variance) <= math.pi / 3.0)
+                        valid=math.sqrt(variance) <= _MAX_SIGMA_PHI)

@@ -15,7 +15,6 @@ from .core import (
     ExperimentSpec,
     InitialState,
     MziGeometry,
-    NoiseModel,
     Protocol,
     SwiGeometry,
 )
@@ -38,7 +37,6 @@ def _mzi_scenarios():
         geometry=geometry,
         state=InitialState(n_atoms=300_000, xi0=0.9),
         protocol=Protocol(t=0.8),
-        noise=NoiseModel(),
         xi_t=1.1,
     )
     cs = ExperimentSpec(
@@ -46,7 +44,6 @@ def _mzi_scenarios():
         geometry=geometry,
         state=InitialState(n_atoms=1_000_000_000, xi0=0.3),
         protocol=Protocol(t=20.0),
-        noise=NoiseModel(),
         xi_t=1.3 * 0.3,
     )
     # rc on the f_P plateau (w_x << rc << delta_x)
@@ -61,7 +58,6 @@ def _swi_scenarios():
         geometry=SwiGeometry(x0=x0_plain),
         state=InitialState(n_atoms=300_000, xi0=5.0),
         protocol=Protocol(t=0.5, zeta=6e-3),
-        noise=NoiseModel(),
         xi_t=200.0,
     )
     x0_echo = 100e-9
@@ -70,7 +66,6 @@ def _swi_scenarios():
         geometry=SwiGeometry(x0=x0_echo),
         state=InitialState(n_atoms=50_000, xi0=1.0),
         protocol=Protocol(t=0.2, zeta=4.0, echo=True),
-        noise=NoiseModel(),
         xi_t=1.15,
     )
     # diffusion factor peaks at rc = sqrt(2/3) x0 for w_y = x0/sqrt(6)

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -9,6 +11,7 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from cslbec import cli
 from cslbec.core import spec_to_dict
@@ -262,6 +265,32 @@ class TestSpecFiles:
         assert out == ""
         assert err.startswith("error: ") and "absent.json" in err
 
+    def test_sigma_n0_overflow_is_named(self, capsys, tmp_path):
+        def mutate(d):
+            d["state"]["sigma_n0"] = 1e200
+
+        path = self.write_spec(tmp_path, mutate)
+        code, out, err = run_capture(capsys, [
+            "bound", "--spec", str(path), "--rc-m", "1e-6"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith(
+            "numerical failure: state.sigma_n0 squared overflows")
+
+    def test_overflowing_default_sigma_n0_names_xi0(self, capsys, tmp_path):
+        def mutate(d):
+            del d["state"]["sigma_n0"]
+            d["state"]["xi0"] = 1e-310
+            d["observation"]["xi_t"] = 1.0
+
+        path = self.write_spec(tmp_path, mutate)
+        code, out, err = run_capture(capsys, [
+            "bound", "--spec", str(path), "--rc-m", "1e-6"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: state.xi0 = 1e-310 is too small")
+        assert "sigma_n0 must be finite" not in err
+
     def test_invalid_physics_is_config_error(self, capsys, tmp_path):
         def mutate(d):
             d["protocol"]["t_s"] = -1.0
@@ -354,6 +383,28 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"error: {name} must be")
 
+    # JSON has no NaN or Infinity: such a result is a numerical failure
+    @pytest.mark.parametrize("scenario, lam, value", [
+        ("rb-mzi", "1e308", "nan"), ("rb-swi", "1e300", "inf")])
+    def test_nonfinite_result_exits_3(self, capsys, scenario, lam, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, out, err = run_capture(capsys, [
+                "variance", "--scenario", scenario, "--lambda-hz", lam,
+                "--rc-m", "1e-6"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith(
+            f"numerical failure: sigma_phi_sq is {value}, not a finite number")
+
+    def test_infinite_repetition_count_is_named(self, capsys):
+        code, out, err = run_capture(capsys, [
+            "repetitions", "--scenario", "rb-mzi", "--lambda-min-hz", "1e-320"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith(
+            "numerical failure: repetition count k overflows")
+
     @pytest.mark.parametrize("argv", [
         ["bound", "--scenario", "rb-swi", "--rc-m=nan"],
         ["bound", "--scenario", "rb-mzi", "--rc-m=-inf"],
@@ -412,3 +463,137 @@ class TestColdStart:
             env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+
+class ReadRecorder:
+    """A parsed namespace that records the attributes read from it."""
+
+    def __init__(self, namespace):
+        self.__dict__.update(namespace=namespace, read=set())
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.namespace, name)
+
+
+def subcommands():
+    parser = cli._build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def dests(subparser):
+    return {a.dest for a in subparser._actions
+            if not isinstance(a, argparse._HelpAction)}
+
+
+# the smallest argv each subcommand accepts, with sizes kept small
+MINIMAL_ARGV = {
+    "geometry": ["--scenario", "rb-mzi", "--rc", "1e-8:1e-6:3"],
+    "variance": ["--scenario", "rb-mzi", "--lambda-hz", "1e-10",
+                 "--rc-m", "1e-6"],
+    "bound": ["--scenario", "rb-mzi"],
+    "curve": ["--scenario", "rb-mzi", "--rc", "1e-8:1e-6:3"],
+    "repetitions": ["--scenario", "rb-mzi"],
+    "table1": [],
+    "simulate": ["--scenario", "rb-mzi", "--lambda-hz", "1e-10",
+                 "--rc-m", "1e-6", "--n-traj", "1000", "--n-steps", "1000"],
+    "calibrate": ["--scenario", "rb-mzi", "--n-meta", "50"],
+    "scenarios": [],
+}
+
+
+class TestOptionsAreRead:
+    def test_option_count(self):
+        subs = subcommands()
+        assert sorted(subs) == sorted(MINIMAL_ARGV)
+        assert sum(len(dests(p)) for p in subs.values()) == 54
+
+    @pytest.mark.parametrize("command", sorted(MINIMAL_ARGV))
+    def test_handler_reads_every_option(self, capsys, tmp_path, command):
+        argv = MINIMAL_ARGV[command]
+        if command == "table1":
+            argv = ["--csv", str(tmp_path / "table1.csv")]
+        args = ReadRecorder(cli._build_parser().parse_args([command, *argv]))
+        assert args.func(args) == 0
+        assert dests(subcommands()[command]) - args.read == set()
+
+    @pytest.mark.parametrize("command", ["bound", "repetitions", "calibrate"])
+    def test_stray_lambda_is_rejected(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.run([command, "--scenario", "rb-mzi", "--lambda-hz", "5"])
+        assert exc.value.code == 2
+        assert "--lambda-hz" in capsys.readouterr().err
+
+    def test_scenario_and_spec_are_exclusive(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["bound", "--scenario", "rb-mzi",
+                     "--spec", str(tmp_path / "spec.json")])
+        assert exc.value.code == 2
+        assert "not allowed" in capsys.readouterr().err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} in JSON output")
+
+
+def run_quiet(argv):
+    """Exit code, stdout and stderr of ``cslbec argv``, warnings ignored."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("ignore")
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e-320, 1e-160, 1e-9, 1e-6, 1e-3, 1e160, 1e300])
+# sizes stay small and fixed; the float flags are drawn
+FUZZED = {
+    "variance": ([], ["--lambda-hz", "--rc-m"]),
+    "bound": ([], ["--rc-m"]),
+    "curve": (None, []),
+    "repetitions": ([], ["--rc-m", "--delta", "--lambda-min-hz"]),
+    "simulate": (["--n-traj", "1000", "--n-steps", "1000", "--seed", "1"],
+                 ["--lambda-hz", "--rc-m"]),
+    "calibrate": (["--k", "300", "--n-meta", "50", "--seed", "1"],
+                  ["--rc-m", "--delta", "--lambda-min-hz"]),
+}
+ARGV_FUZZ = settings(derandomize=True, deadline=None, max_examples=60,
+                     phases=(Phase.explicit, Phase.generate))
+
+
+@st.composite
+def fuzzed_argv(draw, command):
+    fixed, flags = FUZZED[command]
+    argv = [command, "--scenario", draw(st.sampled_from(sorted(SCENARIOS)))]
+    if fixed is None:
+        # curve: the grid's two float bounds
+        fixed = [f"--rc={draw(FLOATS)!r}:{draw(FLOATS)!r}:4"]
+    for flag in flags:
+        value = draw(st.none() | FLOATS)
+        if value is not None:
+            argv.append(f"{flag}={value!r}")
+    return argv + fixed
+
+
+class TestArgvFuzz:
+    @pytest.mark.parametrize("command", sorted(FUZZED))
+    def test_exit_code_and_output(self, command):
+        @ARGV_FUZZ
+        @given(fuzzed_argv(command))
+        def check(argv):
+            code, out, err = run_quiet(argv)
+            assert code in (0, 2, 3), (argv, err)
+            assert "Traceback" not in err
+            if code != 0:
+                assert out == ""
+            elif command != "curve":
+                json.loads(out, parse_constant=_reject_constant)
+
+        check()

@@ -180,6 +180,21 @@ class TestPhaseVariance:
         assert vs[0] <= vs[1] <= vs[2]
 
 
+class TestOverflow:
+    # a square that overflows the float range names the quantity squared
+    @pytest.mark.parametrize("spec, name", [
+        (order_one_spec(mass_u=1e200), "species.mass_u"),
+        (order_one_spec(zeta=1e200), "protocol.zeta \\* t"),
+        (order_one_spec(zeta=1e200, echo=True), "protocol.zeta"),
+        (order_one_spec(zeta=0.0, t=1e200), "the leg duration"),
+        (mzi_spec(state=InitialState(n_atoms=300_000, xi0=0.9,
+                                     sigma_n0=1e200)), "state.sigma_n0"),
+    ])
+    def test_named(self, spec, name):
+        with pytest.raises(OverflowError, match=f"^{name} squared overflows"):
+            phase_variance(spec, CslPoint(1e-10, 1e-6))
+
+
 class TestCharacteristicFunction:
     def test_normalization(self):
         spec = swi_spec()

@@ -110,17 +110,6 @@ class TestVarianceSplit:
             split.alpha_csl_sq, rel=1e-12)
         assert split.alpha_csl_sq < forward
 
-    def test_noise_inflation(self):
-        spec = RB_MZI.spec
-        noisy = ExperimentSpec(
-            species=spec.species, geometry=spec.geometry, state=spec.state,
-            protocol=spec.protocol, noise=NoiseModel(gamma=0.01),
-            xi_t=spec.xi_t)
-        base = variance_split(noisy, 1e-6, "mzi")
-        infl = variance_split(noisy, 1e-6, "mzi", include_noise=True)
-        assert infl.sigma_conv_sq - base.sigma_conv_sq == pytest.approx(
-            2.0 * 0.01 * 0.8, rel=1e-12)
-
     def test_invalid_mode(self):
         with pytest.raises(ValueError, match="mode"):
             variance_split(RB_MZI.spec, 1e-6, "ramsey")
@@ -214,8 +203,7 @@ class TestLambdaBound:
 class TestExclusionCurve:
     def test_mzi_curve_shape_and_minimum(self):
         grid = np.geomspace(1e-9, 1e-3, 200)
-        curve = exclusion_curve(RB_MZI.spec, "mzi", grid, label="rb")
-        assert curve.label == "rb"
+        curve = exclusion_curve(RB_MZI.spec, "mzi", grid)
         vals = curve.lambda_bound
         assert not np.any(np.isnan(vals))
         low = float(np.nanmin(vals))
@@ -306,6 +294,22 @@ class TestRepetitions:
         assert est.lambda_min == pytest.approx(
             lambda_bound(RB_MZI.spec, 1e-6, "mzi", fp_cap_one=True),
             rel=1e-12)
+
+    def test_one_split_per_call(self, monkeypatch):
+        # the default lambda_min inverts the split the counts use
+        import cslbec.inference as inference
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return variance_split(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "variance_split", counted)
+        est = repetitions(RB_MZI.spec, 1e-6, "mzi", fp_cap_one=True)
+        assert len(calls) == 1
+        assert est.lambda_min == lambda_bound(RB_MZI.spec, 1e-6, "mzi",
+                                              fp_cap_one=True)
 
     def test_monotonicity_in_lambda_min(self):
         ks = [repetitions(RB_MZI.spec, 1e-6, "mzi", lambda_min=lam,
