@@ -222,6 +222,7 @@ def _cmd_calibrate(args):
     if lambda_min is None:
         raise core.SpecError(
             "calibrate requires --lambda-min-hz (or a scenario)")
+    core._check_positive("lambda_min", lambda_min)
     k = args.k
     if k is None:
         k = inference.repetitions(spec, rc, mode, lambda_min=lambda_min,
@@ -288,8 +289,7 @@ def _build_parser():
     def add_delta(p):
         p.add_argument("--delta", type=float, default=0.1)
 
-    def add_target(p):
-        add_delta(p)
+    def add_lambda_min(p):
         p.add_argument("--lambda-min-hz", type=float, dest="lambda_min_hz")
 
     def add_seed(p):
@@ -312,7 +312,7 @@ def _build_parser():
             add_common, add_mode, add_grid)
     command("repetitions", _cmd_repetitions,
             "required measurement repetitions",
-            add_common, add_rc, add_mode, add_target)
+            add_common, add_rc, add_mode, add_delta, add_lambda_min)
     p = command("table1", _cmd_table1, "repetition counts for all scenarios",
                 add_delta)
     p.add_argument("--no-fp-cap", action="store_true",
@@ -324,8 +324,10 @@ def _build_parser():
     p.add_argument("--n-steps", type=int, default=10_000)
     p = command("calibrate", _cmd_calibrate,
                 "Monte Carlo estimator calibration",
-                add_common, add_rc, add_mode, add_target, add_seed)
-    p.add_argument("--k", type=int)
+                add_common, add_rc, add_mode, add_lambda_min, add_seed)
+    size = p.add_mutually_exclusive_group()
+    size.add_argument("--k", type=int)
+    add_delta(size)
     p.add_argument("--n-meta", type=int, default=500)
     p = command("scenarios", _cmd_scenarios, "list built-in scenarios")
     p.add_argument("--out")

@@ -63,8 +63,7 @@ class CslPoint:
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
-        if not (math.isfinite(self.rc) and self.rc > 0):
-            raise ValueError(f"rc must be finite and > 0, got {self.rc!r}")
+        _check_positive("rc", self.rc)
 
 
 @dataclass(frozen=True)
@@ -150,6 +149,11 @@ def _check_seed(seed) -> None:
     if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2 ** 64:
         raise ValueError(
             f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def ground_state_width(omega: float, species: Species, convention: str) -> float:

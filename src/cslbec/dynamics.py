@@ -43,7 +43,10 @@ class PhaseMoments:
     mean: float      # rad
     variance: float  # rad^2
     t: float         # s
-    valid: bool = True  # False once sqrt(variance) > pi/3
+
+    @property
+    def valid(self) -> bool:  # False once sqrt(variance) > pi/3
+        return math.sqrt(self.variance) <= _MAX_SIGMA_PHI
 
 
 def _square(x: float, name: str) -> float:
@@ -149,15 +152,14 @@ def phase_variance(spec: ExperimentSpec, point: CslPoint) -> PhaseMoments:
                          + zeta^2 t^2 Gamma_S N^2 t / 24
     """
     var = _evolved_characteristic(spec, point).var_phi
-    valid = math.sqrt(var) <= _MAX_SIGMA_PHI
-    if not valid:
+    moments = PhaseMoments(spec.protocol.phase_mean, var, spec.protocol.t)
+    if not moments.valid:
         warnings.warn(
             f"sigma_phi = {math.sqrt(var):.3g} exceeds pi/3; "
             "narrow-phase treatment unreliable",
             stacklevel=2,
         )
-    return PhaseMoments(mean=spec.protocol.phase_mean, variance=var,
-                        t=spec.protocol.t, valid=valid)
+    return moments
 
 
 def characteristic_function(spec: ExperimentSpec, point: CslPoint, s, q):

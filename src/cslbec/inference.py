@@ -12,12 +12,13 @@ one place, ``_factors``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ExperimentSpec, CslPoint, MziGeometry, _check_seed
-from .dynamics import collapse_rates, count_distribution, propagator_parts
+from .core import ExperimentSpec, MziGeometry, _check_positive, _check_seed
+from .dynamics import _square, collapse_rates, propagator_parts
 from .geometry import f_closed
 
 __all__ = [
@@ -36,6 +37,9 @@ __all__ = [
 ]
 
 MODES = ("mzi", "swi_plain", "swi_echo")
+# exclusion-curve points per forward-model call: its 64 KiB temporaries stay
+# in cache and on the heap, where whole-grid ones are mapped and faulted anew
+_BLOCK = 8192
 
 
 class ExcessVarianceError(ValueError):
@@ -128,19 +132,22 @@ def _invert(spec: ExperimentSpec, split: VarianceSplit) -> float:
 
 def exclusion_curve(spec: ExperimentSpec, mode: str, rc_grid,
                     fp_cap_one: bool = False) -> ExclusionCurve:
-    """lambda_bound over the grid; NaN where lambda_bound would raise."""
+    """lambda_bound over the 1-D grid; NaN where lambda_bound would raise."""
     rc_grid = np.asarray(rc_grid, dtype=float)
-    split = variance_split(spec, rc_grid, mode, fp_cap_one=fp_cap_one)
-    excess = _excess(spec, split)
-    bound = np.divide(excess, split.alpha_csl_sq,
-                      out=np.full(rc_grid.shape, np.nan),
-                      where=(excess >= 0) & (split.alpha_csl_sq > 0.0))
+    bound = np.full(rc_grid.shape, np.nan)
+    for i in range(0, max(len(rc_grid), 1), _BLOCK):
+        rc, out = rc_grid[i:i + _BLOCK], bound[i:i + _BLOCK]
+        split = variance_split(spec, rc, mode, fp_cap_one=fp_cap_one)
+        excess = _excess(spec, split)
+        np.divide(excess, split.alpha_csl_sq, out=out,
+                  where=(excess >= 0) & (split.alpha_csl_sq > 0.0))
     return ExclusionCurve(rc=rc_grid, lambda_bound=bound)
 
 
 def fisher_information(split: VarianceSplit, lam: float) -> float:
     """FI of the Gaussian count distribution with respect to lambda."""
-    return 1.0 / (2.0 * (split.sigma_conv_sq / split.alpha_csl_sq + lam) ** 2)
+    return 1.0 / (2.0 * _square(split.sigma_conv_sq / split.alpha_csl_sq + lam,
+                                "sigma_conv^2 / alpha_csl^2 + lambda"))
 
 
 def repetitions(spec: ExperimentSpec, rc: float, mode: str,
@@ -156,9 +163,8 @@ def repetitions(spec: ExperimentSpec, rc: float, mode: str,
     split = variance_split(spec, rc, mode, fp_cap_one=fp_cap_one)
     if lambda_min is None:
         lambda_min = _invert(spec, split)
-    for name, value in (("lambda_min", lambda_min), ("delta", delta)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    _check_positive("lambda_min", lambda_min)
+    _check_positive("delta", delta)
 
     def k_of(conv):
         try:
@@ -211,32 +217,24 @@ def calibrate_estimator(spec: ExperimentSpec, rc: float, mode: str,
                         fp_cap_one: bool = False) -> CalibrationResult:
     """Monte Carlo check that the variance estimator reaches the CR floor.
 
-    Each meta-repetition draws k synthetic count differences from the
-    Gaussian readout model at lambda_true, forms the unbiased sample
-    variance and inverts the linear model for a lambda estimate.
+    Each meta-repetition draws the sample variance of k Gaussian counts at
+    lambda_true from its exact law, sigma_phi^2 chi^2_{k-1} / (k - 1), in
+    O(n_meta) memory at any k, and inverts the linear model for lambda.
     """
-    if k < 100:
-        raise ValueError("k must be >= 100")
+    if not 100 <= k <= sys.float_info.max:
+        raise ValueError("k must be >= 100 and within the float range")
     if n_meta < 2:
         raise ValueError(f"n_meta must be >= 2 for a spread, got {n_meta!r}")
     _check_seed(seed)
     split = variance_split(spec, rc, mode, fp_cap_one=fp_cap_one)
-    n = spec.state.n_atoms
-    phase = spec.protocol.phase_mean
-    cosp_sq = math.cos(phase) ** 2
-
-    mean = count_distribution(spec, CslPoint(lam=lambda_true, rc=rc)).mean
-    var_counts = n ** 2 * cosp_sq * (
-        split.sigma_conv_sq + split.alpha_csl_sq * lambda_true)
+    cr = 1.0 / math.sqrt(k * fisher_information(split, lambda_true))
+    sigma_phi_sq = split.sigma_conv_sq + split.alpha_csl_sq * lambda_true
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    samples = rng.normal(mean, math.sqrt(var_counts), size=(n_meta, k))
-    s2 = np.var(samples, axis=1, ddof=1)
-    sigma_phi_sq_hat = s2 / (n ** 2 * cosp_sq)
-    lam_hat = (sigma_phi_sq_hat - split.sigma_conv_sq) / split.alpha_csl_sq
+    s2 = sigma_phi_sq * rng.chisquare(k - 1, size=n_meta) / (k - 1)
+    lam_hat = (s2 - split.sigma_conv_sq) / split.alpha_csl_sq
 
     spread = float(np.std(lam_hat, ddof=1))
-    cr = 1.0 / math.sqrt(k * fisher_information(split, lambda_true))
     return CalibrationResult(
         lambda_hat_mean=float(np.mean(lam_hat)),
         lambda_hat_spread=spread,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _MAX_SIGMA_PHI, CslPoint, ExperimentSpec, _check_seed
+from .core import CslPoint, ExperimentSpec, _check_seed
 from .dynamics import PhaseMoments, Rates, rates
 
 __all__ = [
@@ -360,6 +360,4 @@ def dicke_phase_variance(state: DickeState):
             f"contrast {contrast:.2f} < 0.5: phase-variance estimator biased",
             stacklevel=2,
         )
-    variance = var_jyp / (ex ** 2 + ey ** 2)
-    return PhaseMoments(mean=alpha, variance=variance, t=math.nan,
-                        valid=math.sqrt(variance) <= _MAX_SIGMA_PHI)
+    return PhaseMoments(alpha, var_jyp / (ex ** 2 + ey ** 2), math.nan)

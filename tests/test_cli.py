@@ -209,6 +209,16 @@ class TestCalibrate:
         assert payload["lambda_hat_spread_hz"] > 0.0
         assert payload["cr_floor_hz"] > 0.0
 
+    def test_huge_k_from_tiny_target(self, capsys):
+        # k is about 1e15 counts per meta-repetition
+        code, out, err = run_capture(capsys, [
+            "calibrate", "--scenario", "rb-mzi", "--lambda-min-hz", "1e-16",
+            "--n-meta", "50"])
+        assert code == 0, err
+        payload = json.loads(out, parse_constant=_reject_constant)
+        assert payload["k"] > 10 ** 14
+        assert payload["relative_spread"] == pytest.approx(0.1, rel=0.5)
+
 
 class TestSpecFiles:
     def write_spec(self, tmp_path, mutate=None):
@@ -376,6 +386,10 @@ class TestExitCodes:
         (["repetitions", "--scenario", "rb-mzi", "--lambda-min-hz=nan"],
          "lambda_min"),
         (["table1", "--delta=nan"], "delta"),
+        (["calibrate", "--scenario", "rb-mzi", "--k", "1" + "0" * 400,
+          "--n-meta", "50"], "k"),
+        (["calibrate", "--scenario", "rb-mzi", "--lambda-min-hz", "0",
+          "--k", "300", "--n-meta", "50"], "lambda_min"),
     ])
     def test_bad_inference_argument_is_named(self, capsys, argv, name):
         code, out, err = run_capture(capsys, argv)
@@ -404,6 +418,21 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(
             "numerical failure: repetition count k overflows")
+
+    @pytest.mark.parametrize("argv", [
+        ["repetitions", "--scenario", "rb-mzi", "--lambda-min-hz", "1e200"],
+        ["calibrate", "--scenario", "rb-mzi", "--lambda-min-hz", "1e300",
+         "--k", "300", "--n-meta", "50"],
+    ])
+    def test_overflowing_fisher_information_is_named(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_capture(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(
+            "numerical failure: sigma_conv^2 / alpha_csl^2 + lambda squared "
+            "overflows")
 
     @pytest.mark.parametrize("argv", [
         ["bound", "--scenario", "rb-swi", "--rc-m=nan"],
@@ -526,6 +555,13 @@ class TestOptionsAreRead:
         assert exc.value.code == 2
         assert "--lambda-hz" in capsys.readouterr().err
 
+    def test_k_and_delta_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["calibrate", "--scenario", "rb-mzi", "--k", "300",
+                     "--delta", "0.5"])
+        assert exc.value.code == 2
+        assert "not allowed" in capsys.readouterr().err
+
     def test_scenario_and_spec_are_exclusive(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.run(["bound", "--scenario", "rb-mzi",
@@ -562,7 +598,7 @@ FUZZED = {
     "simulate": (["--n-traj", "1000", "--n-steps", "1000", "--seed", "1"],
                  ["--lambda-hz", "--rc-m"]),
     "calibrate": (["--k", "300", "--n-meta", "50", "--seed", "1"],
-                  ["--rc-m", "--delta", "--lambda-min-hz"]),
+                  ["--rc-m", "--lambda-min-hz"]),
 }
 ARGV_FUZZ = settings(derandomize=True, deadline=None, max_examples=60,
                      phases=(Phase.explicit, Phase.generate))

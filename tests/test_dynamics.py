@@ -17,6 +17,7 @@ from cslbec.core import (
 )
 from cslbec.dynamics import (
     GaussianCharacteristic,
+    PhaseMoments,
     characteristic_function,
     count_distribution,
     echo_characteristic_closed,
@@ -151,6 +152,14 @@ class TestPhaseVariance:
         with pytest.warns(UserWarning, match="pi/3"):
             pm = phase_variance(spec, CslPoint(0.0, 1e-6))
         assert not pm.valid
+
+    def test_validity_follows_variance(self):
+        edge = (math.pi / 3.0) ** 2
+        assert PhaseMoments(0.0, edge * (1.0 - 1e-9), 1.0).valid
+        assert not PhaseMoments(0.0, edge * (1.0 + 1e-9), 1.0).valid
+        # a constructor field would let the flag disagree with the variance
+        with pytest.raises(TypeError):
+            PhaseMoments(0.0, 4.0, 1.0, True)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @settings(max_examples=60, deadline=None)

@@ -15,8 +15,9 @@ from cslbec.core import (
     Species,
     SwiGeometry,
 )
-from cslbec.dynamics import phase_variance
+from cslbec.dynamics import count_distribution, phase_variance
 from cslbec.geometry import f_closed, optimal_rc
+from cslbec import inference
 from cslbec.inference import (
     ExcessVarianceError,
     MODES,
@@ -252,6 +253,19 @@ class TestExclusionCurve:
                                                fp_cap_one)
         assert np.all(np.isnan(bounds))
 
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_blocks_match_one_pass(self, name):
+        # two whole blocks and a partial one against the whole grid at once
+        sc = SCENARIOS[name]
+        grid = np.geomspace(1e-160, 1e-3, 2 * inference._BLOCK + 1001)
+        split = variance_split(sc.spec, grid, sc.mode)
+        excess = inference._excess(sc.spec, split)
+        one_pass = np.divide(excess, split.alpha_csl_sq,
+                             out=np.full(grid.shape, np.nan),
+                             where=(excess >= 0) & (split.alpha_csl_sq > 0.0))
+        np.testing.assert_array_equal(
+            exclusion_curve(sc.spec, sc.mode, grid).lambda_bound, one_pass)
+
     def test_undefined_points_become_gaps(self):
         # echo inference with zeta = 0 has zero slope everywhere
         spec = ExperimentSpec(
@@ -361,6 +375,24 @@ class TestTable1:
             assert est.k_inflated >= est.k
 
 
+def count_matrix_calibration(spec, rc, mode, lambda_true, k, seed, n_meta,
+                             fp_cap_one=False):
+    """calibrate_estimator's earlier draw: all n_meta x k Gaussian counts
+    around the readout mean, one sample variance per row, rescaled by
+    N^2 cos^2(phase) to phase.  The reference for the chi-square draw.
+    Returns (lambda_hat_mean, lambda_hat_spread)."""
+    split = variance_split(spec, rc, mode, fp_cap_one=fp_cap_one)
+    scale = (spec.state.n_atoms * math.cos(spec.protocol.phase_mean)) ** 2
+    mean = count_distribution(spec, CslPoint(lam=lambda_true, rc=rc)).mean
+    sigma_phi_sq = split.sigma_conv_sq + split.alpha_csl_sq * lambda_true
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    counts = rng.normal(mean, math.sqrt(scale * sigma_phi_sq),
+                        size=(n_meta, k))
+    s2 = np.var(counts, axis=1, ddof=1) / scale
+    lam_hat = (s2 - split.sigma_conv_sq) / split.alpha_csl_sq
+    return float(np.mean(lam_hat)), float(np.std(lam_hat, ddof=1))
+
+
 class TestCalibrateEstimator:
     def make_unit_spec(self, lam_scale=1.0):
         return ExperimentSpec(
@@ -403,6 +435,26 @@ class TestCalibrateEstimator:
         assert a.lambda_hat_spread != c.lambda_hat_spread
 
     def test_requires_minimum_k(self):
-        with pytest.raises(ValueError, match="k"):
-            calibrate_estimator(self.make_unit_spec(), OPT, "swi_plain",
-                                0.01, 50, seed=1)
+        for k in (50, 10 ** 400):  # below 100, beyond the float range
+            with pytest.raises(ValueError, match="k must be"):
+                calibrate_estimator(self.make_unit_spec(), OPT, "swi_plain",
+                                    0.01, k, seed=1)
+
+    @pytest.mark.parametrize("setting", ["unit-swi", "rb-mzi"])
+    def test_agrees_with_count_matrix(self, setting):
+        if setting == "unit-swi":
+            args = (self.make_unit_spec(), OPT, "swi_plain", 0.01)
+            k, n_meta, seed, cap = 500, 800, 17, False
+        else:
+            args = (RB_MZI.spec, RB_MZI.rc, "mzi", RB_MZI.lambda_min)
+            k, n_meta, seed, cap = 300, 600, 4, True
+        res = calibrate_estimator(*args, k=k, seed=seed, n_meta=n_meta,
+                                  fp_cap_one=cap)
+        # a different stream from the same seed: independent estimates
+        ref_mean, ref_spread = count_matrix_calibration(
+            *args, k=k, seed=seed, n_meta=n_meta, fp_cap_one=cap)
+        both = math.hypot(res.lambda_hat_spread, ref_spread)
+        assert (abs(res.lambda_hat_mean - ref_mean)
+                < 5.0 * both / math.sqrt(n_meta))
+        assert (abs(res.lambda_hat_spread - ref_spread)
+                < 5.0 * both / math.sqrt(2.0 * (n_meta - 1)))
