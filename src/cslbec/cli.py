@@ -4,7 +4,7 @@ Subcommands cover geometry factors, forward variances, exclusion bounds and
 curves, repetition counts, the built-in scenario table, the stochastic
 oracle and estimator calibration.  Grids/sweeps are emitted as CSV, single
 structured results as JSON.  Exit codes: 0 success, 2 configuration error,
-3 numerical failure.
+3 numerical failure, which includes an array too large to allocate.
 """
 
 from __future__ import annotations
@@ -343,7 +343,7 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (geometry.QuadratureError, oracles.PositivityError,
-            ArithmeticError) as exc:
+            ArithmeticError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

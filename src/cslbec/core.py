@@ -124,6 +124,27 @@ class Protocol:
     phase_mean: float = 0.0        # mean interferometric phase, rad
     epsilon_over_hbar: float = 0.0  # mode energy splitting, rad/s
 
+    def legs(self, n_steps: int) -> tuple:
+        """((zeta, duration, steps), ...) of the dispersion schedule.
+
+        The echo flips zeta at t/2; its first half gets half the steps,
+        rounded down, and its second half the rest.  The plain protocol is
+        one leg of n_steps.  The analytic model and both oracles read this
+        one schedule.
+        """
+        if self.echo:
+            half = n_steps // 2
+            legs = ((self.zeta, self.t / 2.0, half),
+                    (-self.zeta, self.t / 2.0, n_steps - half))
+        else:
+            legs = ((self.zeta, self.t, n_steps),)
+        if min(steps for _, _, steps in legs) < 1:
+            raise ValueError(
+                f"n_steps = {n_steps!r} leaves a protocol leg with no steps; "
+                f"the {'echo' if self.echo else 'plain'} protocol needs "
+                f"n_steps >= {len(legs)}")
+        return legs
+
 
 @dataclass(frozen=True)
 class NoiseModel:

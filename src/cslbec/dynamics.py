@@ -114,21 +114,21 @@ class GaussianCharacteristic:
 def propagator_parts(spec: ExperimentSpec, r: Rates) -> tuple:
     """(initial, collapse) parts of the evolved quadratic form, which add.
 
-    The initial covariance goes once through the net dispersion shear
-    sum_k zeta_k tau_k, exactly 0.0 for the echo, so no cancellation is
-    left in its initial part.  The collapse noise accumulates leg by leg
-    from zero; it is linear in the rates, which may be arrays.
+    The legs are those of ``Protocol.legs``; this closed form needs no time
+    steps, so their step counts go unused.  The initial covariance goes
+    once through the net dispersion shear sum_k zeta_k tau_k, exactly 0.0
+    for the echo, so no cancellation is left in its initial part.  The
+    collapse noise accumulates leg by leg from zero; it is linear in the
+    rates, which may be arrays.
     """
-    p = spec.protocol
-    legs = (((p.zeta, p.t / 2.0), (-p.zeta, p.t / 2.0)) if p.echo
-            else ((p.zeta, p.t),))
-    shear = sum(zeta * tau for zeta, tau in legs)
+    legs = spec.protocol.legs(2)
+    shear = sum(zeta * tau for zeta, tau, _ in legs)
     var_n = _square(spec.state.sigma_n0, "state.sigma_n0")
     initial = GaussianCharacteristic(
         spec.sigma_phi0_sq + var_n * _square(shear, "protocol.zeta * t"),
         var_n * shear, var_n)
     noise = GaussianCharacteristic(0.0, 0.0, 0.0)
-    for zeta, tau in legs:
+    for zeta, tau, _ in legs:
         noise = noise.evolve(zeta, tau, r, spec.state.n_atoms)
     return initial, noise
 

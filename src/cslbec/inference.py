@@ -37,6 +37,9 @@ __all__ = [
 ]
 
 MODES = ("mzi", "swi_plain", "swi_echo")
+# smallest chi^2 relative spread sqrt(2/(k-1)) calibrate_estimator accepts:
+# above it the float rounding of s^2 is at most 0.1 % of the spread
+_MIN_CHI2_SPREAD = 1e3 * sys.float_info.epsilon
 # exclusion-curve points per forward-model call: its 64 KiB temporaries stay
 # in cache and on the heap, where whole-grid ones are mapped and faulted anew
 _BLOCK = 8192
@@ -220,14 +223,20 @@ def calibrate_estimator(spec: ExperimentSpec, rc: float, mode: str,
     Each meta-repetition draws the sample variance of k Gaussian counts at
     lambda_true from its exact law, sigma_phi^2 chi^2_{k-1} / (k - 1), in
     O(n_meta) memory at any k, and inverts the linear model for lambda.
+    k stops below about 4e25, where that law's relative spread
+    sqrt(2/(k-1)) would fall under 1e3 float epsilons and the spread left
+    would be float rounding, not the estimator's.
     """
-    if not 100 <= k <= sys.float_info.max:
-        raise ValueError("k must be >= 100 and within the float range")
+    if not (k >= 100 and math.sqrt(2 / (k - 1)) >= _MIN_CHI2_SPREAD):
+        raise ValueError(
+            "k must be >= 100 and below about 4e25, where the chi^2 "
+            f"spread sqrt(2/(k-1)) reaches 1e3 float epsilons; got k = {k!r}")
     if n_meta < 2:
         raise ValueError(f"n_meta must be >= 2 for a spread, got {n_meta!r}")
     _check_seed(seed)
     split = variance_split(spec, rc, mode, fp_cap_one=fp_cap_one)
-    cr = 1.0 / math.sqrt(k * fisher_information(split, lambda_true))
+    fisher = fisher_information(split, lambda_true)
+    cr = 1.0 / math.sqrt(fisher) / math.sqrt(k)  # k F itself can overflow
     sigma_phi_sq = split.sigma_conv_sq + split.alpha_csl_sq * lambda_true
 
     rng = np.random.Generator(np.random.Philox(key=seed))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CslPoint, ExperimentSpec, _check_seed
+from .core import CslPoint, ExperimentSpec, Protocol, _check_seed
 from .dynamics import PhaseMoments, Rates, rates
 
 __all__ = [
@@ -54,7 +54,7 @@ class SdeMoments:
     t: float
     n_traj: int
     seed: int
-    max_step_phase: float  # |zeta| max|n| dt at the final step
+    max_step_phase: float  # |zeta| max|n| dt at the final step, last leg's dt
 
 
 def _cpu_count() -> int:
@@ -65,26 +65,27 @@ def _cpu_count() -> int:
 
 
 def _sde_block(spec: ExperimentSpec, seed: int, block: int, m: int,
-               n_steps: int, dt: float, sig_phi: float, sig_n: float):
+               legs: tuple, sig_phi: float, diff_n: float):
     """Final phi of one block of m trajectories, and max|n| at the last step.
 
-    The block draws from its own Philox stream keyed by (seed, block) and
+    ``legs`` is the schedule of ``Protocol.legs``; each leg steps at its
+    own dt with number noise of variance ``diff_n`` * dt per step.  The
+    block draws from its own Philox stream keyed by (seed, block) and
     touches no shared state, so blocks can run in any order or at once.
     """
-    p = spec.protocol
     key = np.array([seed, block], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     phi = rng.normal(0.0, math.sqrt(spec.sigma_phi0_sq), size=m)
     n = rng.normal(0.0, spec.state.sigma_n0, size=m)
     if sig_phi > 0.0:
         phi += sig_phi * rng.standard_normal(m)
-    for step in range(n_steps):
-        zeta = p.zeta
-        if p.echo and step >= n_steps // 2:
-            zeta = -p.zeta
-        phi += zeta * n * dt
-        if sig_n > 0.0:
-            n += sig_n * rng.standard_normal(m)
+    for zeta, tau, steps in legs:
+        dt = tau / steps
+        sig_n = math.sqrt(diff_n * dt)
+        for _ in range(steps):
+            phi += zeta * n * dt
+            if sig_n > 0.0:
+                n += sig_n * rng.standard_normal(m)
     return phi, float(np.max(np.abs(n)))
 
 
@@ -93,10 +94,11 @@ def sde_sample(spec: ExperimentSpec, point: CslPoint, n_traj: int,
     """Monte Carlo phase moments at time t from Euler-Maruyama trajectories.
 
     Initial (phi, n) are Gaussian with variances (xi0^2/N, sigma_n0^2).
-    The echo protocol flips the sign of zeta for the second half of the
-    steps.  The phi collapse noise is additive at a constant rate and never
-    feeds back into n, so its n_steps increments sum exactly to one normal
-    of variance Gamma_P t, drawn once per trajectory after the initial
+    The steps follow the schedule of ``Protocol.legs``: the echo flips the
+    sign of zeta at t/2, each half stepping at its own dt.  The phi
+    collapse noise is additive at a constant rate and never feeds back
+    into n, so its n_steps increments sum exactly to one normal of
+    variance Gamma_P t, drawn once per trajectory after the initial
     (phi, n); only the n channel is stepped.  Trajectories are generated in
     fixed-size blocks, each from a counter-based Philox stream keyed by the
     pair (seed, block index), so streams of different seeds never overlap.
@@ -105,7 +107,8 @@ def sde_sample(spec: ExperimentSpec, point: CslPoint, n_traj: int,
     to the number of blocks, and are assembled in block order: the result
     is bitwise reproducible for a given (seed, n_traj, n_steps) at any
     worker count.  ``max_step_phase`` is |zeta| max|n| dt at the final
-    step, the value the dispersion-step warning tests.
+    step, with the last leg's dt: the value the dispersion-step warning
+    tests.
     """
     if n_traj < 1000:
         raise ValueError("n_traj must be >= 1000")
@@ -116,9 +119,9 @@ def sde_sample(spec: ExperimentSpec, point: CslPoint, n_traj: int,
     r = rates(point, spec.species, spec.geometry)
     n_atoms = spec.state.n_atoms
     p = spec.protocol
-    dt = p.t / n_steps
+    legs = p.legs(n_steps)
     sig_phi = math.sqrt(r.gamma_p * p.t)
-    sig_n = math.sqrt(n_atoms ** 2 * r.gamma_s / 2.0 * dt)
+    diff_n = n_atoms ** 2 * r.gamma_s / 2.0
 
     # imported here: a cold CLI call that never simulates skips its cost
     from concurrent.futures import ThreadPoolExecutor
@@ -130,8 +133,8 @@ def sde_sample(spec: ExperimentSpec, point: CslPoint, n_traj: int,
 
     def run_block(block: int):
         m = min(_BLOCK, n_traj - starts[block])
-        return contexts[block].run(_sde_block, spec, seed, block, m, n_steps,
-                                   dt, sig_phi, sig_n)
+        return contexts[block].run(_sde_block, spec, seed, block, m, legs,
+                                   sig_phi, diff_n)
 
     workers = min(len(starts), _cpu_count())
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -139,7 +142,8 @@ def sde_sample(spec: ExperimentSpec, point: CslPoint, n_traj: int,
     phi_all = np.concatenate([phi for phi, _ in blocks])
     max_abs_n = max(top for _, top in blocks)
 
-    max_step_phase = abs(p.zeta) * max_abs_n * dt
+    _, tau, steps = legs[-1]
+    max_step_phase = abs(p.zeta) * max_abs_n * (tau / steps)
     if max_step_phase > 1e-3:
         warnings.warn(
             "dispersion step zeta*|n|*dt exceeds 1e-3 rad; "
@@ -306,28 +310,24 @@ def dicke_evolve(n_atoms: int, r: Rates, zeta: float,
     Each RK4 stage costs O(N^2): the Hamiltonian is applied as exact
     diagonal phases and J_x enters only through its tridiagonal band (see
     ``_dicke_rhs``), which needs the initial state to be Hermitian.
-    Intended as an oracle for N <= 200.  The echo flag flips the sign of
-    zeta at t/2.  For accuracy the step must resolve the J_x coefficient
-    oscillation: (eps/hbar) * t / n_steps should stay below roughly 0.5.
+    Intended as an oracle for N <= 200.  The steps follow the schedule of
+    ``Protocol.legs``: the echo flag flips the sign of zeta at t/2.  For
+    accuracy the step must resolve the J_x coefficient oscillation:
+    (eps/hbar) * t / n_steps should stay below roughly 0.5.
     """
     if n_atoms > 200:
         raise ValueError("Dicke oracle limited to N <= 200")
     if r.gamma_p < 0 or r.gamma_s < 0:
         raise ValueError("rates must be nonnegative")
+    legs = Protocol(t=t, zeta=zeta, echo=echo).legs(n_steps)
 
     mz, cp = _spin_bands(n_atoms)
     jx_band = cp / 2.0
 
     rho = initial.rho.astype(complex).copy()
-    if echo:
-        half = n_steps // 2
-        rho = _evolve_segment(rho, mz, jx_band, r, zeta, epsilon_over_hbar,
-                              t / 2.0, half)
-        rho = _evolve_segment(rho, mz, jx_band, r, -zeta, epsilon_over_hbar,
-                              t / 2.0, n_steps - half)
-    else:
-        rho = _evolve_segment(rho, mz, jx_band, r, zeta, epsilon_over_hbar,
-                              t, n_steps)
+    for zeta_k, tau, steps in legs:
+        rho = _evolve_segment(rho, mz, jx_band, r, zeta_k, epsilon_over_hbar,
+                              tau, steps)
 
     state = DickeState(n_atoms, rho)
     state.check()

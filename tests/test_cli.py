@@ -390,6 +390,8 @@ class TestExitCodes:
           "--n-meta", "50"], "k"),
         (["calibrate", "--scenario", "rb-mzi", "--lambda-min-hz", "0",
           "--k", "300", "--n-meta", "50"], "lambda_min"),
+        (["calibrate", "--scenario", "rb-mzi", "--fp-cap-one",
+          "--k", "1" + "0" * 39, "--n-meta", "50"], "k"),
     ])
     def test_bad_inference_argument_is_named(self, capsys, argv, name):
         code, out, err = run_capture(capsys, argv)
@@ -410,6 +412,21 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(
             f"numerical failure: sigma_phi_sq is {value}, not a finite number")
+
+    # 1e15 float64 points: numpy refuses the 7 PiB at once, allocating nothing
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--scenario", "rb-mzi",
+         "--rc", "1e-9:1e-3:1000000000000000"],
+        ["geometry", "--scenario", "rb-mzi",
+         "--rc", "1e-9:1e-3:1000000000000000"],
+        ["calibrate", "--scenario", "rb-mzi", "--k", "300",
+         "--n-meta", "1000000000000000"],
+    ])
+    def test_oversized_request_exits_3(self, capsys, argv):
+        code, out, err = run_capture(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical failure: Unable to allocate")
 
     def test_infinite_repetition_count_is_named(self, capsys):
         code, out, err = run_capture(capsys, [

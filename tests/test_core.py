@@ -85,6 +85,23 @@ class TestDefaults:
         assert s.sigma_n0 == 3.0
 
 
+class TestProtocolLegs:
+    def test_plain_is_one_leg(self):
+        assert Protocol(t=0.8, zeta=3.0).legs(1001) == ((3.0, 0.8, 1001),)
+
+    def test_echo_splits_odd_steps_at_half_time(self):
+        legs = Protocol(t=0.2, zeta=4.0, echo=True).legs(1001)
+        assert legs == ((4.0, 0.1, 500), (-4.0, 0.1, 501))
+        assert sum(tau for _, tau, _ in legs) == 0.2
+        assert sum(steps for _, _, steps in legs) == 1001
+
+    @pytest.mark.parametrize("echo, n_steps", [(True, 1), (False, 0),
+                                               (True, -4)])
+    def test_leg_without_steps_is_named(self, echo, n_steps):
+        with pytest.raises(ValueError, match=f"n_steps = {n_steps} leaves"):
+            Protocol(t=1.0, zeta=1.0, echo=echo).legs(n_steps)
+
+
 class TestValidate:
     def test_valid_spec(self):
         assert validate(make_spec()) == []

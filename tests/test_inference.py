@@ -435,10 +435,29 @@ class TestCalibrateEstimator:
         assert a.lambda_hat_spread != c.lambda_hat_spread
 
     def test_requires_minimum_k(self):
-        for k in (50, 10 ** 400):  # below 100, beyond the float range
-            with pytest.raises(ValueError, match="k must be"):
+        # below 100; sqrt(2/(k-1)) under 1e3 float epsilons, where the
+        # spread would be float rounding; beyond the float range
+        for k in (50, 10 ** 26, 10 ** 40, 10 ** 400):
+            with pytest.raises(ValueError, match=f"k must be.*got k = {k}"):
                 calibrate_estimator(self.make_unit_spec(), OPT, "swi_plain",
                                     0.01, k, seed=1)
+        calibrate_estimator(self.make_unit_spec(), OPT, "swi_plain", 0.01,
+                            4 * 10 ** 25, seed=1)
+
+    def test_cr_floor_where_k_times_fisher_overflows(self):
+        # F = 1/(2 (c + lambda)^2) is about 5e299 at lambda = 1e-150, so
+        # k F overflows at k = 1e12 while the floor sqrt(2/k)(c + lambda)
+        # is about 1.4e-156
+        spec = replace(RB_MZI.spec, state=InitialState(10_000, 1e-140))
+        lam, k = 1e-150, 10 ** 12
+        res = calibrate_estimator(spec, RB_MZI.rc, "mzi", lam, k, seed=3,
+                                  fp_cap_one=True)
+        split = variance_split(spec, RB_MZI.rc, "mzi", fp_cap_one=True)
+        c = split.sigma_conv_sq / split.alpha_csl_sq
+        # ratios: pytest.approx's absolute 1e-12 would pass any tiny value
+        floor = math.sqrt(2.0 / k) * (c + lam)
+        assert res.cr_floor / floor == pytest.approx(1.0, rel=1e-12)
+        assert res.lambda_hat_spread / floor == pytest.approx(1.0, rel=0.3)
 
     @pytest.mark.parametrize("setting", ["unit-swi", "rb-mzi"])
     def test_agrees_with_count_matrix(self, setting):

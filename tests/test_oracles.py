@@ -32,6 +32,7 @@ from cslbec.oracles import (
     sde_sample,
     spin_operators,
 )
+from cslbec.scenarios import SCENARIOS
 
 OPT = math.sqrt(2.0 / 3.0)
 UNIT = Species("unit", 1.0)
@@ -201,6 +202,18 @@ class TestSdeSample:
         m = sde_sample(spec, point, n_traj, 1000, seed=31)
         assert (m.mean, m.variance, m.max_step_phase) == serial_sde_sample(
             spec, point, n_traj, 1000, seed=31)
+
+    # at lambda = 0 each n stays constant, so the Euler steps are exact
+    # however large the step phase (0.6 rad here) that the warning tests
+    @pytest.mark.filterwarnings("ignore:dispersion step")
+    def test_echo_with_odd_steps_flips_at_half_time(self):
+        # an echo flipped one step early would leave a net shear -zeta dt,
+        # z of about 45 here
+        sc = SCENARIOS["rb-swi-echo"]
+        point = CslPoint(0.0, sc.rc)
+        m = sde_sample(sc.spec, point, 4000, 1001, seed=1)
+        expected = phase_variance(sc.spec, point).variance
+        assert abs(m.variance - expected) < 5.0 * m.stderr_variance
 
     @pytest.mark.parametrize("cpus", [1, 8])
     def test_same_bits_at_any_worker_count(self, monkeypatch, cpus):
@@ -431,6 +444,11 @@ class TestDickeEvolve:
         with pytest.raises(ValueError, match="N <= 200"):
             dicke_evolve(500, Rates(0.0, 0.0), 0.0, 0.0,
                          coherent_spin_state(10), 1.0, 1000)
+
+    def test_echo_leg_without_steps_is_named(self):
+        with pytest.raises(ValueError, match="n_steps = 1 leaves"):
+            dicke_evolve(4, Rates(0.0, 0.0), 0.1, 0.0,
+                         coherent_spin_state(4), 1.0, 1, echo=True)
 
     def test_state_check_rejects_bad_matrices(self):
         rho = np.diag([0.7, 0.5, -0.2]).astype(complex)
