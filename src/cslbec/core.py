@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 __all__ = [
-    "HBAR",
-    "ATOMIC_MASS_KG",
     "RB87_MASS_U",
     "CS133_MASS_U",
     "CslPoint",
@@ -33,15 +31,12 @@ __all__ = [
     "ExperimentSpec",
     "SpecError",
     "validate",
-    "ground_state_width",
     "spec_from_dict",
     "spec_to_dict",
     "load_spec",
 ]
 
 # Single source for physical constants; no other module defines any.
-HBAR = 1.054571817e-34          # J s
-ATOMIC_MASS_KG = 1.66053906660e-27  # kg, unified atomic mass unit
 RB87_MASS_U = 86.909180         # Rb-87 mass in u
 CS133_MASS_U = 132.905452       # Cs-133 mass in u
 
@@ -177,24 +172,6 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
-def ground_state_width(omega: float, species: Species, convention: str) -> float:
-    """Harmonic ground-state width for trap angular frequency ``omega``.
-
-    Two conventions are in circulation, differing by a factor two:
-    ``"main"`` gives sqrt(2*hbar/(m*omega)), ``"appendix"`` gives
-    sqrt(hbar/(2*m*omega)).  Callers must choose explicitly; nothing in this
-    package calls it implicitly (x0 is the canonical geometry input).
-    """
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    m = species.mass_u * ATOMIC_MASS_KG
-    if convention == "main":
-        return math.sqrt(2.0 * HBAR / (m * omega))
-    if convention == "appendix":
-        return math.sqrt(HBAR / (2.0 * m * omega))
-    raise ValueError(f"unknown convention {convention!r}")
-
-
 # --- JSON schema ------------------------------------------------------------
 
 class _Field(NamedTuple):
@@ -206,6 +183,12 @@ class _Field(NamedTuple):
     required: bool = True  # else the dataclass default applies
     rule: str = ""         # range rule, a key of _RULES
 
+
+# the readout's phase slope is N cos(phase_mean); no command models a mode
+# splitting, which only the Dicke oracle takes, as an argument
+_OFF_COS_ZERO = ("off the zeros of cos (|cos| >= 0.1): "
+                 "the readout carries no phase there")
+_UNMODELLED = "0: no command models a mode splitting"
 
 # (JSON group, geometry type, dataclass, fields); the observation group's
 # fields are ExperimentSpec's own.  A group with no required field may be
@@ -229,9 +212,10 @@ _SCHEMA = (
         _Field("t_s", "t", rule="positive"),
         _Field("zeta_rad_s", "zeta", required=False),
         _Field("echo", "echo", bool, required=False),
-        _Field("phase_mean_rad", "phase_mean", required=False),
+        _Field("phase_mean_rad", "phase_mean", required=False,
+               rule=_OFF_COS_ZERO),
         _Field("epsilon_over_hbar_rad_s", "epsilon_over_hbar",
-               required=False))),
+               required=False, rule=_UNMODELLED))),
     ("noise", None, NoiseModel, (
         _Field("gamma_hz", "gamma", required=False, rule="nonnegative"),)),
     ("observation", None, ExperimentSpec, (
@@ -242,6 +226,8 @@ _RULES = {
     "positive": lambda x: x > 0,
     "nonnegative": lambda x: x >= 0,
     ">= 2": lambda x: x >= 2,
+    _OFF_COS_ZERO: lambda x: abs(math.cos(x)) >= 0.1,
+    _UNMODELLED: lambda x: x == 0,
 }
 
 # the int kind is n_atoms: every formula divides by float(N)

@@ -22,13 +22,11 @@ __all__ = [
     "Rates",
     "PhaseMoments",
     "GaussianCharacteristic",
-    "CountDistribution",
     "rates",
     "phase_variance",
     "characteristic_function",
     "echo_characteristic_closed",
     "visibility",
-    "count_distribution",
 ]
 
 
@@ -193,38 +191,3 @@ def visibility(spec: ExperimentSpec, point: CslPoint) -> float:
     r = rates(point, spec.species, spec.geometry)
     return (math.exp(-r.gamma_p * spec.protocol.t / 2.0)
             * math.exp(-spec.noise.gamma * spec.protocol.t))
-
-
-@dataclass(frozen=True)
-class CountDistribution:
-    """Gaussian over the output count difference n."""
-
-    mean: float
-    variance: float
-    low_sensitivity: bool  # |cos(phase_mean)| < 0.1: readout slope vanishes
-
-
-def count_distribution(spec: ExperimentSpec, point: CslPoint
-                       ) -> CountDistribution:
-    """Readout distribution linearized at the operating phase.
-
-    mean = N * V * sin(phase_mean), variance = N^2 cos^2(phase_mean)
-    * sigma_phi^2(t); at phase_mean = 0 the variance is N * xi_t^2.
-    """
-    n = spec.state.n_atoms
-    phase = spec.protocol.phase_mean
-    v = visibility(spec, point)
-    moments = phase_variance(spec, point)
-    cosp = math.cos(phase)
-    flagged = abs(cosp) < 0.1
-    if flagged:
-        warnings.warn(
-            "operating point with |cos(phase_mean)| < 0.1: "
-            "linearized phase sensitivity vanishes",
-            stacklevel=2,
-        )
-    return CountDistribution(
-        mean=n * v * math.sin(phase),
-        variance=n ** 2 * cosp ** 2 * moments.variance,
-        low_sensitivity=flagged,
-    )

@@ -122,12 +122,17 @@ class GeometryFactors:
     error: float | None = None
 
 
+# keeps 4 rc^2, the largest multiple of rc^2 the factors form, finite
+_RC_MAX = math.sqrt(np.finfo(float).max) / 2.0
+
+
 def _checked_rc(rc) -> np.ndarray:
-    """rc as a float array, at least 1-D; ValueError unless finite and > 0."""
+    """rc as a float array, at least 1-D; ValueError outside (0, _RC_MAX]."""
     r = np.atleast_1d(np.asarray(rc, dtype=float))
-    bad = ~(np.isfinite(r) & (r > 0))
+    bad = ~((r > 0) & (r <= _RC_MAX))
     if bad.any():
-        raise ValueError(f"rc must be finite and > 0, got {float(r[bad][0])!r}")
+        raise ValueError(f"rc must be finite and > 0, at most {_RC_MAX:.3g} m,"
+                         f" got {float(r[bad][0])!r}")
     return r
 
 

@@ -182,6 +182,10 @@ class DickeState:
     rho: np.ndarray
 
     def check(self) -> None:
+        if not np.isfinite(self.rho).all():
+            raise FloatingPointError(
+                "density matrix is not finite: an RK4 step is stable only "
+                "for Gamma_P * N^2 * dt / 2 <~ 2.8; increase n_steps")
         tr = np.trace(self.rho)
         if abs(tr - 1.0) > _TOL_TRACE:
             raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.2e}")
@@ -313,7 +317,10 @@ def dicke_evolve(n_atoms: int, r: Rates, zeta: float,
     Intended as an oracle for N <= 200.  The steps follow the schedule of
     ``Protocol.legs``: the echo flag flips the sign of zeta at t/2.  For
     accuracy the step must resolve the J_x coefficient oscillation:
-    (eps/hbar) * t / n_steps should stay below roughly 0.5.
+    (eps/hbar) * t / n_steps should stay below roughly 0.5.  For stability
+    the fastest dephasing rate needs Gamma_P * N^2 * dt / 2 <~ 2.8 (RK4's
+    real stability limit); past it ``DickeState.check`` raises a
+    FloatingPointError.
     """
     if n_atoms > 200:
         raise ValueError("Dicke oracle limited to N <= 200")

@@ -48,7 +48,7 @@ class TestBound:
         assert code == 0
         payload = json.loads(out)
         assert payload["lambda_bound_hz"] == pytest.approx(
-            1.103284328489337e-10, rel=1e-9)
+            1.103284328489337e-10, rel=1e-9, abs=0)
         assert payload["rc_m"] == 1e-6
         assert payload["mode"] == "mzi"
 
@@ -57,7 +57,7 @@ class TestBound:
         assert code == 0
         # closed-form f_P = 0.9901 on the plateau lifts the bound by ~1%
         assert json.loads(out)["lambda_bound_hz"] == pytest.approx(
-            1.103284328489337e-10 / 0.9900990098833777, rel=1e-9)
+            1.103284328489337e-10 / 0.9900990098833777, rel=1e-9, abs=0)
 
     def test_requires_source(self, capsys):
         code, _, err = run_capture(capsys, ["bound", "--rc-m", "1e-6"])
@@ -99,7 +99,7 @@ class TestCurve:
         assert header == ["rc_m", "lambda_bound_hz"]
         assert len(rows) == 200
         bounds = [float(b) for _, b in rows]
-        assert min(bounds) == pytest.approx(0.943e-16, rel=0.02)
+        assert min(bounds) == pytest.approx(0.943e-16, rel=0.02, abs=0)
 
     def test_deterministic_bytes(self, capsys, tmp_path):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -221,8 +221,8 @@ class TestCalibrate:
 
 
 class TestSpecFiles:
-    def write_spec(self, tmp_path, mutate=None):
-        d = spec_to_dict(SCENARIOS["rb-mzi"].spec)
+    def write_spec(self, tmp_path, mutate=None, scenario="rb-mzi"):
+        d = spec_to_dict(SCENARIOS[scenario].spec)
         if mutate:
             mutate(d)
         path = tmp_path / "spec.json"
@@ -235,7 +235,7 @@ class TestSpecFiles:
             "bound", "--spec", str(path), "--rc-m", "1e-6", "--fp-cap-one"])
         assert code == 0
         assert json.loads(out)["lambda_bound_hz"] == pytest.approx(
-            1.103284328489337e-10, rel=1e-9)
+            1.103284328489337e-10, rel=1e-9, abs=0)
 
     def test_unequal_mzi_widths(self, capsys, tmp_path):
         def mutate(d):
@@ -310,6 +310,22 @@ class TestSpecFiles:
             "bound", "--spec", str(path), "--rc-m", "1e-6"])
         assert code == 2
         assert "positive" in err
+
+    # no output reads either field, so a spec may not set it
+    @pytest.mark.parametrize("scenario", ["rb-mzi", "rb-swi-echo"])
+    @pytest.mark.parametrize("key, value, name", [
+        ("phase_mean_rad", 1.5707, "protocol.phase_mean"),
+        ("epsilon_over_hbar_rad_s", 1e4, "protocol.epsilon_over_hbar")])
+    def test_unmodelled_protocol_field_is_config_error(
+            self, capsys, tmp_path, scenario, key, value, name):
+        path = self.write_spec(
+            tmp_path, lambda d: d["protocol"].update({key: value}), scenario)
+        for command, *point in (("bound",), ("repetitions",),
+                                ("variance", "--lambda-hz", "1e-10")):
+            code, out, err = run_capture(capsys, [
+                command, "--spec", str(path), "--rc-m", "1e-6", *point])
+            assert (code, out) == (2, ""), command
+            assert err.startswith(f"error: {name} must be"), command
 
 
 class TestEmitCsv:
@@ -611,6 +627,7 @@ FUZZED = {
     "variance": ([], ["--lambda-hz", "--rc-m"]),
     "bound": ([], ["--rc-m"]),
     "curve": (None, []),
+    "geometry": (None, []),
     "repetitions": ([], ["--rc-m", "--delta", "--lambda-min-hz"]),
     "simulate": (["--n-traj", "1000", "--n-steps", "1000", "--seed", "1"],
                  ["--lambda-hz", "--rc-m"]),
@@ -626,7 +643,7 @@ def fuzzed_argv(draw, command):
     fixed, flags = FUZZED[command]
     argv = [command, "--scenario", draw(st.sampled_from(sorted(SCENARIOS)))]
     if fixed is None:
-        # curve: the grid's two float bounds
+        # curve and geometry: the grid's two float bounds
         fixed = [f"--rc={draw(FLOATS)!r}:{draw(FLOATS)!r}:4"]
     for flag in flags:
         value = draw(st.none() | FLOATS)
@@ -646,6 +663,8 @@ class TestArgvFuzz:
             assert "Traceback" not in err
             if code != 0:
                 assert out == ""
+            elif command == "geometry":
+                assert "nan" not in out and "inf" not in out, argv
             elif command != "curve":
                 json.loads(out, parse_constant=_reject_constant)
 

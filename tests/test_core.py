@@ -22,7 +22,6 @@ from cslbec.core import (
     SpecError,
     Species,
     SwiGeometry,
-    ground_state_width,
     load_spec,
     spec_from_dict,
     spec_to_dict,
@@ -78,7 +77,7 @@ class TestDefaults:
 
     def test_swi_w_y_default(self):
         g = SwiGeometry(x0=6e-7)
-        assert g.w_y == pytest.approx(6e-7 / math.sqrt(6), rel=1e-12)
+        assert g.w_y == pytest.approx(6e-7 / math.sqrt(6), rel=1e-12, abs=0)
 
     def test_explicit_sigma_n0_kept(self):
         s = InitialState(n_atoms=100, xi0=1.0, sigma_n0=3.0)
@@ -149,37 +148,12 @@ class TestValidate:
         v = validate(make_spec(protocol=Protocol(t=0.0)))
         assert any("t must be positive" in msg for msg in v)
 
-
-class TestGroundStateWidth:
-    def test_round_trip_main(self):
-        m = RUBIDIUM_87.mass_u * 1.66053906660e-27
-        hbar = 1.054571817e-34
-        omega = 2.0 * hbar / (m * (100e-9) ** 2)
-        x0 = ground_state_width(omega, RUBIDIUM_87, "main")
-        assert x0 == pytest.approx(1.0e-7, rel=1e-12)
-
-    def test_conventions_differ_by_factor_two(self):
-        omega = 1e5
-        main = ground_state_width(omega, RUBIDIUM_87, "main")
-        app = ground_state_width(omega, RUBIDIUM_87, "appendix")
-        assert main == pytest.approx(2.0 * app, rel=1e-12)
-
-    def test_rejects_bad_omega(self):
-        with pytest.raises(ValueError):
-            ground_state_width(0.0, RUBIDIUM_87, "main")
-
-    def test_146_khz_interpretation(self):
-        # brute force over the four (convention, frequency reading)
-        # combinations against the 100 nm target: only the "main"
-        # convention with 146 kHz read directly as rad/s matches
-        results = {}
-        for conv in ("main", "appendix"):
-            for label, omega in (("rad_s", 146e3), ("hz", 2 * math.pi * 146e3)):
-                results[(conv, label)] = ground_state_width(
-                    omega, RUBIDIUM_87, conv)
-        matches = [k for k, v in results.items()
-                   if abs(v - 100e-9) / 100e-9 < 0.01]
-        assert matches == [("main", "rad_s")]
+    def test_phase_rule_reads_cos(self):
+        # |cos(1.47)| = 0.1006 is read, |cos(-4.66)| = 0.052 is refused
+        assert validate(make_spec(protocol=Protocol(0.8, phase_mean=1.47),
+                                  noise=NoiseModel(gamma=50.0))) == []
+        (msg,) = validate(make_spec(protocol=Protocol(0.8, phase_mean=-4.66)))
+        assert msg.endswith("the readout carries no phase there")
 
 
 class TestSerialization:
@@ -324,7 +298,7 @@ def specs(draw):
         state=InitialState(draw(st.integers(2, 2 ** 53)), xi0,
                            draw(st.none() | NONNEGATIVE)),
         protocol=Protocol(draw(POSITIVE), draw(FINITE), draw(st.booleans()),
-                          draw(FINITE), draw(FINITE)),
+                          draw(FINITE)),
         noise=NoiseModel(draw(NONNEGATIVE)),
         xi_t=draw(st.none() | st.floats(min_value=xi0,
                                         allow_infinity=False)),

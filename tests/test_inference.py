@@ -15,7 +15,7 @@ from cslbec.core import (
     Species,
     SwiGeometry,
 )
-from cslbec.dynamics import count_distribution, phase_variance
+from cslbec.dynamics import phase_variance
 from cslbec.geometry import f_closed, optimal_rc
 from cslbec import inference
 from cslbec.inference import (
@@ -122,8 +122,8 @@ class TestLambdaBound:
         bound = lambda_bound(RB_MZI.spec, 1e-6, "mzi", fp_cap_one=True)
         by_hand = (1.1 ** 2 - 0.9 ** 2) / 300_000 \
             / (2.0 * 86.909180 ** 2 * 0.8)
-        assert bound == pytest.approx(by_hand, rel=1e-12)
-        assert bound == pytest.approx(1.103284328489337e-10, rel=1e-9)
+        assert bound == pytest.approx(by_hand, rel=1e-12, abs=0)
+        assert bound == pytest.approx(1.103284328489337e-10, rel=1e-9, abs=0)
 
     def test_echo_hand_evaluated(self):
         # lambda = 12 (u/m)^2 (xi_t^2 - xi0^2) / (N^3 t^3 zeta^2 f_S)
@@ -132,8 +132,8 @@ class TestLambdaBound:
         f_s = f_closed(sc.spec.geometry, sc.rc).f_s
         by_hand = 12.0 * (1.15 ** 2 - 1.0) \
             / (86.909180 ** 2 * 50_000 ** 3 * 0.2 ** 3 * 4.0 ** 2 * f_s)
-        assert bound == pytest.approx(by_hand, rel=1e-12)
-        assert bound == pytest.approx(9.434816072105962e-17, rel=1e-9)
+        assert bound == pytest.approx(by_hand, rel=1e-12, abs=0)
+        assert bound == pytest.approx(9.434816072105962e-17, rel=1e-9, abs=0)
 
     def test_no_excess_gives_zero(self):
         spec = ExperimentSpec(
@@ -198,7 +198,7 @@ class TestLambdaBound:
                     lambda_bound(spec, rc, mode)
                 continue
             assert lambda_bound(spec, rc, mode) == pytest.approx(
-                expected, rel=1e-12)
+                expected, rel=1e-12, abs=0)
 
 
 class TestExclusionCurve:
@@ -208,7 +208,7 @@ class TestExclusionCurve:
         vals = curve.lambda_bound
         assert not np.any(np.isnan(vals))
         low = float(np.nanmin(vals))
-        assert low == pytest.approx(1.1e-10, rel=0.05)
+        assert low == pytest.approx(1.1e-10, rel=0.05, abs=0)
         # U shape: both ends far above the minimum
         assert vals[0] > 100 * low and vals[-1] > 100 * low
 
@@ -219,7 +219,8 @@ class TestExclusionCurve:
         rc_star = optimal_rc(RB_ECHO.spec.geometry)
         # minimum within one grid cell of the analytic optimum
         assert grid[max(i - 1, 0)] <= rc_star <= grid[min(i + 1, len(grid) - 1)]
-        assert curve.lambda_bound[i] == pytest.approx(0.943e-16, rel=0.01)
+        assert curve.lambda_bound[i] == pytest.approx(0.943e-16, rel=0.01,
+                                                      abs=0)
 
     @staticmethod
     def assert_matches_pointwise(spec, mode, grid, fp_cap_one):
@@ -307,7 +308,7 @@ class TestRepetitions:
         est = repetitions(RB_MZI.spec, 1e-6, "mzi", fp_cap_one=True)
         assert est.lambda_min == pytest.approx(
             lambda_bound(RB_MZI.spec, 1e-6, "mzi", fp_cap_one=True),
-            rel=1e-12)
+            rel=1e-12, abs=0)
 
     def test_one_split_per_call(self, monkeypatch):
         # the default lambda_min inverts the split the counts use
@@ -378,15 +379,14 @@ class TestTable1:
 def count_matrix_calibration(spec, rc, mode, lambda_true, k, seed, n_meta,
                              fp_cap_one=False):
     """calibrate_estimator's earlier draw: all n_meta x k Gaussian counts
-    around the readout mean, one sample variance per row, rescaled by
-    N^2 cos^2(phase) to phase.  The reference for the chi-square draw.
-    Returns (lambda_hat_mean, lambda_hat_spread)."""
+    around the readout mean, 0.0 at phase 0, one sample variance per row,
+    rescaled by N^2 cos^2(phase) to phase.  The reference for the
+    chi-square draw.  Returns (lambda_hat_mean, lambda_hat_spread)."""
     split = variance_split(spec, rc, mode, fp_cap_one=fp_cap_one)
     scale = (spec.state.n_atoms * math.cos(spec.protocol.phase_mean)) ** 2
-    mean = count_distribution(spec, CslPoint(lam=lambda_true, rc=rc)).mean
     sigma_phi_sq = split.sigma_conv_sq + split.alpha_csl_sq * lambda_true
     rng = np.random.Generator(np.random.Philox(key=seed))
-    counts = rng.normal(mean, math.sqrt(scale * sigma_phi_sq),
+    counts = rng.normal(0.0, math.sqrt(scale * sigma_phi_sq),
                         size=(n_meta, k))
     s2 = np.var(counts, axis=1, ddof=1) / scale
     lam_hat = (s2 - split.sigma_conv_sq) / split.alpha_csl_sq

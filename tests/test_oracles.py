@@ -456,6 +456,13 @@ class TestDickeEvolve:
             DickeState(2, rho).check()
         with pytest.raises(ValueError, match="trace"):
             DickeState(2, np.eye(3, dtype=complex)).check()
+        with pytest.raises(FloatingPointError, match="2.8"):
+            DickeState(2, np.full((3, 3), np.nan, dtype=complex)).check()
+        # Gamma_P N^2 dt / 2 = 16 lies outside RK4's stability interval
+        with np.errstate(all="ignore"), \
+                pytest.raises(FloatingPointError, match="Gamma_P"):
+            dicke_evolve(40, Rates(2.0, 0.0), 0.0, 0.0,
+                         coherent_spin_state(40), 1.0, 100)
 
 
 class TestDickePhaseVariance:
@@ -532,3 +539,17 @@ class TestOracleAgreement:
 
         for a, b in ((closed, mc), (closed, dicke), (mc, dicke)):
             assert a == pytest.approx(b, rel=0.05)
+
+    def test_dicke_collapse_increment(self):
+        # the collapse term is 9 % of the total above, where a Dicke one 40 %
+        # low would pass: compare the increments over lambda = 0 alone
+        n = 100
+        spec = swi_unit_spec(n, 1.0, 1.0, zeta=0.01)
+        points = (CslPoint(lam_for_gamma_s(5e-3), OPT), CslPoint(0.0, OPT))
+        closed = [phase_variance(spec, p).variance for p in points]
+        dicke = [dicke_phase_variance(dicke_evolve(
+            n, rates(p, spec.species, spec.geometry), zeta=0.01,
+            epsilon_over_hbar=100.0, initial=coherent_spin_state(n), t=1.0,
+            n_steps=1000)).variance for p in points]
+        assert dicke[0] - dicke[1] == pytest.approx(closed[0] - closed[1],
+                                                    rel=0.05, abs=0)
