@@ -155,8 +155,12 @@ def f_closed(geometry, rc) -> GeometryFactors:
     elif isinstance(geometry, SwiGeometry):
         x0, wy = geometry.x0, geometry.w_y
         root = np.sqrt(r ** 2 + wy ** 2)
-        f_s = r ** 2 * x0 ** 2 / (root * (r ** 2 + x0 ** 2) ** 1.5)
-        f_p = 3.0 * r ** 2 * x0 ** 4 / (8.0 * root * (r ** 2 + x0 ** 2) ** 2.5)
+        # one factor of s2 = rc^2 + x0^2 at a time: root * s2 ** 2.5
+        # overflows for rc above about 1.7e51 m
+        s2 = r ** 2 + x0 ** 2
+        s = np.sqrt(s2)
+        f_s = r ** 2 * x0 ** 2 / root / s2 / s
+        f_p = 3.0 * r ** 2 * x0 ** 4 / (8.0 * root) / s2 / s2 / s
     else:
         raise TypeError("geometry must be MziGeometry or SwiGeometry")
     if np.ndim(rc) == 0:

@@ -10,8 +10,10 @@ for the sampler, the closed-form rates at a CSL point (``rates``):
   N^2 Gamma_S/4);
 
 * a Dicke-basis integrator for the full collective-spin master equation
-  with J_z dephasing and J_x diffusion Lindblad channels, which works on
-  the tridiagonal band of J_x so that each step costs O(N^2).
+  with J_z dephasing and J_x diffusion Lindblad channels.  The Hamiltonian
+  and the dephasing are diagonal there and applied as one exact factor;
+  RK4 steps only the J_x channel, on its tridiagonal band, so each step
+  costs O(N^2).
 """
 
 from __future__ import annotations
@@ -185,7 +187,7 @@ class DickeState:
         if not np.isfinite(self.rho).all():
             raise FloatingPointError(
                 "density matrix is not finite: an RK4 step is stable only "
-                "for Gamma_P * N^2 * dt / 2 <~ 2.8; increase n_steps")
+                "for Gamma_S * N^2 * dt / 2 <~ 2.8; increase n_steps")
         tr = np.trace(self.rho)
         if abs(tr - 1.0) > _TOL_TRACE:
             raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.2e}")
@@ -237,69 +239,57 @@ def coherent_spin_state(n_atoms: int, theta: float = math.pi / 2.0,
 
 
 def _band_product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A @ x for the Hermitian tridiagonal A with zero diagonal.
+    """A @ x for the real symmetric tridiagonal A with zero diagonal.
 
-    a holds the sub-diagonal A[k+1, k]; the super-diagonal is its
-    conjugate.  Two shifted row products, O(N^2) for an (N+1)^2 matrix x.
+    a holds the off-diagonal A[k+1, k] = A[k, k+1].  Two shifted row
+    products, O(N^2) for an (N+1)^2 matrix x.
     """
     out = np.zeros_like(x)
     out[1:] = a[:, None] * x[:-1]
-    out[:-1] += a.conj()[:, None] * x[1:]
+    out[:-1] += a[:, None] * x[1:]
     return out
 
 
-def _dicke_rhs(rho: np.ndarray, time: float, deph, gamma_s: float,
-               jx_band: np.ndarray, dh_band: np.ndarray) -> np.ndarray:
-    """Interaction-picture dissipator of the Dicke master equation.
+def _jx_dissipator(rho: np.ndarray, gamma_s: float,
+                   jx_band: np.ndarray) -> np.ndarray:
+    """The J_x diffusion channel Gamma_S D[J_x] rho on the band of J_x.
 
-    deph * rho is the J_z dephasing channel (elementwise, since it commutes
-    with the diagonal Hamiltonian).  J_x(t) is tridiagonal with sub-diagonal
-    a_k = jx_band[k] exp(i dh_band[k] time), dh_band[k] = h[k+1] - h[k],
-    and the diffusion channel is the double commutator
     D[A]rho = -[A, [A, rho]] / 2, taken as X = A rho, C = X - X^H,
     Y = A C, D = -(Y + Y^H) / 2, which assumes a Hermitian rho.
     """
-    out = deph * rho
     if gamma_s > 0.0:
-        a = jx_band * np.exp(1j * dh_band * time)
-        x = _band_product(a, rho)
-        y = _band_product(a, x - x.conj().T)
-        out = out - (0.5 * gamma_s) * (y + y.conj().T)
-    return out
+        x = _band_product(jx_band, rho)
+        y = _band_product(jx_band, x - x.conj().T)
+        return (-0.5 * gamma_s) * (y + y.conj().T)
+    return np.zeros_like(rho)
 
 
 def _evolve_segment(rho, mz, jx_band, r: Rates, zeta: float,
                     epsilon_over_hbar: float, tau: float, n_steps: int):
-    """RK4 in the interaction picture of the diagonal Hamiltonian.
+    """Integrating-factor (Lawson) RK4 over one leg of constant zeta.
 
-    The Hamiltonian eps/hbar J_z + zeta J_z^2 is diagonal here, so its
-    unitary is applied exactly through elementwise phases and RK4 only
-    integrates the dissipator, whose J_x operator picks up those phases.
-    This removes the stiff free-rotation scale from the stepper; the fast
-    oscillation survives in the dissipator coefficients, which is what
-    produces the angular averaging of the diffusion channel.
+    The Hamiltonian eps/hbar J_z + zeta J_z^2 and the J_z dephasing act
+    elementwise in the Dicke basis, rho_mm' -> g_mm' rho_mm' with
+    g_mm' = -i (h_m - h_m') - Gamma_P (m - m')^2 / 2.  Each step applies
+    exp(g dt/2) exactly, and RK4 integrates only the time-independent J_x
+    dissipator in between (Lawson, SIAM J. Numer. Anal. 4, 372 (1967)).
+    Pure dephasing and free rotation are therefore exact at any step.
     """
     h = epsilon_over_hbar * mz + zeta * mz ** 2
-    dh_band = h[1:] - h[:-1]
-    # dephasing channel is diagonal in this basis and commutes with H
-    deph = r.gamma_p * (
-        np.outer(mz, mz) - (mz[:, None] ** 2 + mz[None, :] ** 2) / 2.0
-    )
-
-    def rhs(rho_i, time):
-        return _dicke_rhs(rho_i, time, deph, r.gamma_s, jx_band, dh_band)
-
     dt = tau / n_steps
-    for step in range(n_steps):
-        time = step * dt
-        k1 = rhs(rho, time)
-        k2 = rhs(rho + 0.5 * dt * k1, time + 0.5 * dt)
-        k3 = rhs(rho + 0.5 * dt * k2, time + 0.5 * dt)
-        k4 = rhs(rho + dt * k3, time + dt)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    # back to the lab frame
-    phase = np.exp(-1j * (h[:, None] - h[None, :]) * tau)
-    return phase * rho
+    g = (-1j * (h[:, None] - h[None, :])
+         - 0.5 * r.gamma_p * (mz[:, None] - mz[None, :]) ** 2)
+    half = np.exp(g * (0.5 * dt))
+    for _ in range(n_steps):
+        k1 = _jx_dissipator(rho, r.gamma_s, jx_band)
+        k2 = _jx_dissipator(half * (rho + 0.5 * dt * k1), r.gamma_s, jx_band)
+        rho_h = half * rho
+        k3 = _jx_dissipator(rho_h + 0.5 * dt * k2, r.gamma_s, jx_band)
+        k4 = _jx_dissipator(half * (rho_h + dt * k3), r.gamma_s, jx_band)
+        rho = (half * (half * (rho + (dt / 6.0) * k1)
+                       + (dt / 3.0) * (k2 + k3))
+               + (dt / 6.0) * k4)
+    return rho
 
 
 def dicke_evolve(n_atoms: int, r: Rates, zeta: float,
@@ -311,16 +301,18 @@ def dicke_evolve(n_atoms: int, r: Rates, zeta: float,
                 + Gamma_P (J_z rho J_z - {J_z^2, rho}/2)
                 + Gamma_S (J_x rho J_x - {J_x^2, rho}/2)
 
-    Each RK4 stage costs O(N^2): the Hamiltonian is applied as exact
-    diagonal phases and J_x enters only through its tridiagonal band (see
-    ``_dicke_rhs``), which needs the initial state to be Hermitian.
-    Intended as an oracle for N <= 200.  The steps follow the schedule of
-    ``Protocol.legs``: the echo flag flips the sign of zeta at t/2.  For
-    accuracy the step must resolve the J_x coefficient oscillation:
+    The Hamiltonian and the dephasing are applied as one exact diagonal
+    factor, and RK4 integrates the J_x channel on its tridiagonal band
+    (see ``_evolve_segment``), so each stage costs O(N^2) and the initial
+    state must be Hermitian.  Intended as an oracle for N <= 200.  The
+    steps follow the schedule of ``Protocol.legs``: the echo flag flips
+    the sign of zeta at t/2.  For accuracy the step must resolve the
+    phases the diagonal factor puts between the J_x stages:
     (eps/hbar) * t / n_steps should stay below roughly 0.5.  For stability
-    the fastest dephasing rate needs Gamma_P * N^2 * dt / 2 <~ 2.8 (RK4's
-    real stability limit); past it ``DickeState.check`` raises a
-    FloatingPointError.
+    the J_x double commutator, whose spectral radius is Gamma_S N^2 / 2,
+    needs Gamma_S * N^2 * dt / 2 <~ 2.8 (RK4's real stability limit);
+    past it ``DickeState.check`` raises a FloatingPointError.  Dephasing
+    sets no step limit.
     """
     if n_atoms > 200:
         raise ValueError("Dicke oracle limited to N <= 200")

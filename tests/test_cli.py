@@ -25,6 +25,13 @@ def run_capture(capsys, argv):
     return code, out.out, out.err
 
 
+def child_env():
+    """Environment for a fresh Python process that imports this cslbec."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
@@ -141,6 +148,19 @@ class TestGeometry:
         for _, f_p, f_s, qp, qs in rows:
             assert float(qp) == pytest.approx(float(f_p), rel=1e-6)
             assert float(qs) == pytest.approx(float(f_s), rel=1e-6)
+
+    def test_swi_huge_rc_is_silent(self):
+        # f_p is about 2.3e-274 here: far below the closed form's
+        # intermediate products, which must neither overflow nor warn
+        proc = subprocess.run(
+            [sys.executable, "-m", "cslbec.cli", "geometry", "--scenario",
+             "rb-swi", "--rc", "1e62:1e63:2"],
+            env=child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == ""
+        _, rows = parse_csv(proc.stdout)
+        for _, f_p, f_s, qp, qs in rows:
+            assert float(f_p) == pytest.approx(float(qp), rel=1e-6, abs=0)
+            assert float(f_s) == pytest.approx(float(qs), rel=1e-6, abs=0)
 
 
 class TestTable1:
@@ -515,15 +535,12 @@ class TestColdStart:
     # and concurrent.futures (with logging) is needed only by sde_sample
     @pytest.mark.parametrize("module", ["scipy", "concurrent.futures"])
     def test_import_does_not_load(self, module):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, cslbec, cslbec.cli; "
              f"assert {module!r} not in sys.modules, "
              f"sorted(m for m in sys.modules if m.startswith({module!r}))"],
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
-            capture_output=True, text=True, timeout=120)
+            env=child_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
 
 

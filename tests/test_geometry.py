@@ -182,6 +182,20 @@ class TestClosedForms:
             f = [f_closed(g, geometry._RC_MAX) for g in (MZI, SWI)]
         assert np.isfinite([(x.f_p, x.f_s) for x in f]).all()
 
+    @pytest.mark.filterwarnings("error")
+    def test_swi_huge_rc_matches_quadrature(self):
+        # root * (rc^2 + x0^2) ** 2.5 would overflow past rc = 1.7e51 m
+        grid = np.geomspace(1e-9, 1e150, 160)
+        f = f_closed(SWI, grid)
+        ov = overlap_swi(SWI)
+        q = [f_quadrature(ov, rc) for rc in grid]
+        # relative where the factors are normal floats; f_P ends subnormal
+        tiny = np.finfo(float).tiny
+        np.testing.assert_allclose(f.f_p, [x.f_p for x in q], rtol=1e-6,
+                                   atol=tiny)
+        np.testing.assert_allclose(f.f_s, [x.f_s for x in q], rtol=1e-6,
+                                   atol=tiny)
+
     @pytest.mark.parametrize("geom", [MZI, SWI, MZI_UNEQUAL],
                              ids=["mzi", "swi", "mzi-unequal"])
     def test_array_matches_scalar(self, geom):

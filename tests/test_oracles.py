@@ -25,7 +25,7 @@ from cslbec import oracles
 from cslbec.oracles import (
     DickeState,
     PositivityError,
-    _dicke_rhs,
+    _jx_dissipator,
     coherent_spin_state,
     dicke_evolve,
     dicke_phase_variance,
@@ -99,34 +99,34 @@ def dense_lindblad(op, rho):
     return op @ rho @ op_h - (op_h @ op @ rho + rho @ op_h @ op) / 2.0
 
 
-def interaction_jx(jx, h, time):
-    """J_x in the interaction picture of the diagonal Hamiltonian h."""
-    return jx * np.exp(1j * (h[:, None] - h[None, :]) * time)
-
-
 def dense_evolve(n, r, zeta, eps, rho, t, n_steps, echo):
-    """Dense-matrix RK4 reference for dicke_evolve: same step grid, same
-    exact diagonal phases, both channels built from spin_operators."""
+    """Dense-matrix Lawson RK4 reference for dicke_evolve: same step grid,
+    same exact diagonal factor, both channels built from spin_operators.
+
+    The Hamiltonian and the J_z channel act elementwise in the Dicke
+    basis, so applied to the all-ones matrix they give the coefficients
+    g of the factor exp(g dt/2); RK4 integrates the dense J_x channel in
+    the interaction picture of that factor, in classical Lawson form."""
     jx, _, jz = spin_operators(n)
-    mz = np.real(np.diag(jz))
+    ones = np.ones((n + 1, n + 1))
+
+    def f(x):
+        return r.gamma_s * dense_lindblad(jx, x)
 
     def segment(rho, zeta, tau, steps):
-        h = eps * mz + zeta * mz ** 2
-
-        def f(x, time):
-            return (r.gamma_p * dense_lindblad(jz, x)
-                    + r.gamma_s * dense_lindblad(interaction_jx(jx, h, time),
-                                                 x))
-
+        ham = eps * jz + zeta * jz @ jz
+        g = -1j * (ham @ ones - ones @ ham) + r.gamma_p * dense_lindblad(
+            jz, ones)
         dt = tau / steps
-        for step in range(steps):
-            time = step * dt
-            k1 = f(rho, time)
-            k2 = f(rho + 0.5 * dt * k1, time + 0.5 * dt)
-            k3 = f(rho + 0.5 * dt * k2, time + 0.5 * dt)
-            k4 = f(rho + dt * k3, time + dt)
-            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return np.exp(-1j * (h[:, None] - h[None, :]) * tau) * rho
+        half, full = np.exp(g * (0.5 * dt)), np.exp(g * dt)
+        for _ in range(steps):
+            k1 = f(rho)
+            k2 = f(half * (rho + 0.5 * dt * k1))
+            k3 = f(half * rho + 0.5 * dt * k2)
+            k4 = f(full * rho + dt * half * k3)
+            rho = full * rho + (dt / 6.0) * (
+                full * k1 + 2.0 * half * (k2 + k3) + k4)
+        return rho
 
     if not echo:
         return segment(rho, zeta, t, n_steps)
@@ -419,17 +419,13 @@ class TestDickeEvolve:
     @pytest.mark.parametrize("n", [1, 2, 3, 40, 200])
     def test_banded_rhs_matches_dense(self, n):
         rng = np.random.default_rng(n)
-        jx, _, jz = spin_operators(n)
-        mz = np.real(np.diag(jz))
-        eps, zeta, gamma_s = 37.0, 0.3, 0.7
-        h = eps * mz + zeta * mz ** 2
-        for time in (0.0, 0.013, 0.4, 2.9):
-            rho = random_hermitian(n + 1, rng)
-            dense = gamma_s * dense_lindblad(interaction_jx(jx, h, time), rho)
-            banded = _dicke_rhs(rho, time, 0.0, gamma_s,
-                                np.real(np.diag(jx, -1)), np.diff(h))
-            assert np.max(np.abs(banded - dense)) <= (
-                1e-13 * np.max(np.abs(dense)))
+        jx, _, _ = spin_operators(n)
+        gamma_s = 0.7
+        rho = random_hermitian(n + 1, rng)
+        dense = gamma_s * dense_lindblad(jx, rho)
+        banded = _jx_dissipator(rho, gamma_s, np.real(np.diag(jx, -1)))
+        assert np.max(np.abs(banded - dense)) <= (
+            1e-13 * np.max(np.abs(dense)))
 
     def test_matches_dense_rk4_with_echo(self):
         n, r = 20, Rates(gamma_p=0.3, gamma_s=0.2)
@@ -439,6 +435,34 @@ class TestDickeEvolve:
         dense = dense_evolve(n, r, 0.15, 40.0, initial.rho, 1.0, 400,
                              echo=True)
         assert np.max(np.abs(state.rho - dense)) <= 1e-12
+
+    def test_fourth_order_convergence(self):
+        # the run above against a fine-step one: halving dt cuts the
+        # error about 16-fold
+        n, r = 20, Rates(gamma_p=0.3, gamma_s=0.2)
+        initial = coherent_spin_state(n, theta=1.2, phi=0.4)
+
+        def run(steps):
+            return dicke_evolve(n, r, zeta=0.15, epsilon_over_hbar=40.0,
+                                initial=initial, t=1.0, n_steps=steps,
+                                echo=True).rho
+
+        fine = run(6400)
+        err = [np.max(np.abs(run(steps) - fine)) for steps in (200, 400, 800)]
+        assert err[-1] < 1e-10
+        for coarse, finer in zip(err, err[1:]):
+            assert math.log2(coarse / finer) > 3.5
+
+    def test_pure_dephasing_is_exact(self):
+        # Gamma_P N^2 dt / 2 = 16: far past RK4's stability interval, yet
+        # the dephasing factor is applied exactly
+        n, gamma_p, t = 40, 2.0, 1.0
+        initial = coherent_spin_state(n)
+        state = dicke_evolve(n, Rates(gamma_p, 0.0), 0.0, 0.0, initial, t,
+                             100)
+        m = np.arange(n + 1)
+        exact = np.exp(-gamma_p * (m[:, None] - m[None, :]) ** 2 * t / 2.0)
+        assert np.max(np.abs(state.rho - exact * initial.rho)) <= 1e-14
 
     def test_rejects_large_n(self):
         with pytest.raises(ValueError, match="N <= 200"):
@@ -458,10 +482,10 @@ class TestDickeEvolve:
             DickeState(2, np.eye(3, dtype=complex)).check()
         with pytest.raises(FloatingPointError, match="2.8"):
             DickeState(2, np.full((3, 3), np.nan, dtype=complex)).check()
-        # Gamma_P N^2 dt / 2 = 16 lies outside RK4's stability interval
+        # Gamma_S N^2 dt / 2 = 16 lies outside RK4's stability interval
         with np.errstate(all="ignore"), \
-                pytest.raises(FloatingPointError, match="Gamma_P"):
-            dicke_evolve(40, Rates(2.0, 0.0), 0.0, 0.0,
+                pytest.raises(FloatingPointError, match="Gamma_S"):
+            dicke_evolve(40, Rates(0.0, 2.0), 0.0, 0.0,
                          coherent_spin_state(40), 1.0, 100)
 
 
