@@ -212,7 +212,7 @@ def _cmd_simulate(args):
         "mc_variance": mc.variance,
         "mc_stderr": mc.stderr_variance,
         "z_score": (mc.variance - analytic) / mc.stderr_variance,
-        "max_step_phase_rad": mc.max_step_phase,
+        "euler_bias": mc.euler_bias,
     }, args.out)
     return 0
 

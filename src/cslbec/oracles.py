@@ -41,13 +41,22 @@ __all__ = [
 ]
 
 _BLOCK = 4096  # trajectories per RNG stream
+_BIAS_SE = 0.1  # sde_sample warns past this many standard errors of bias
 _TOL_TRACE = 1e-9  # DickeState.check: trace and Hermiticity tolerance
 _TOL_POS = 1e-8    # DickeState.check: most negative eigenvalue allowed
 
 
 @dataclass(frozen=True)
 class SdeMoments:
-    """Empirical phase moments from a trajectory ensemble."""
+    """Empirical phase moments from a trajectory ensemble.
+
+    ``euler_bias`` (rad^2) is the exact error of the Euler-Maruyama
+    scheme's phi-variance against the continuous-time SDE: the sum over
+    the legs of -D tau c (a + c (3m - 1) / 6), for m steps of per-step
+    shear c = zeta tau / m followed by a tail shear a, with
+    D = N^2 Gamma_S / 2.  It does not depend on the sample;
+    ``sde_sample`` warns when |euler_bias| > 0.1 ``stderr_variance``.
+    """
 
     mean: float
     variance: float
@@ -56,7 +65,7 @@ class SdeMoments:
     t: float
     n_traj: int
     seed: int
-    max_step_phase: float  # |zeta| max|n| dt at the final step, last leg's dt
+    euler_bias: float
 
 
 def _cpu_count() -> int:
@@ -66,9 +75,27 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+def _euler_bias(legs: tuple, diff_n: float) -> float:
+    """Exact phi-variance error of the Euler scheme over ``legs``.
+
+    A number increment shears into phi through every later step, so the
+    scheme sums diff_n dt T_j^2 over the discrete tail shears T_j where the
+    SDE integrates diff_n T(s)^2 ds; summed over a leg, the difference is
+    the term below, with ``tail`` the shear of the later legs.  The
+    initial (phi, n) and the summed phi noise are exact, so this is the
+    whole error.
+    """
+    bias, tail = 0.0, 0.0
+    for zeta, tau, steps in reversed(legs):
+        c = zeta * tau / steps
+        bias -= diff_n * tau * c * (tail + c * (3 * steps - 1) / 6.0)
+        tail += zeta * tau
+    return bias
+
+
 def _sde_block(spec: ExperimentSpec, seed: int, block: int, m: int,
-               legs: tuple, sig_phi: float, diff_n: float):
-    """Final phi of one block of m trajectories, and max|n| at the last step.
+               legs: tuple, sig_phi: float, diff_n: float) -> np.ndarray:
+    """Final phi of one block of m trajectories.
 
     ``legs`` is the schedule of ``Protocol.legs``; each leg steps at its
     own dt with number noise of variance ``diff_n`` * dt per step.  The
@@ -88,7 +115,7 @@ def _sde_block(spec: ExperimentSpec, seed: int, block: int, m: int,
             phi += zeta * n * dt
             if sig_n > 0.0:
                 n += sig_n * rng.standard_normal(m)
-    return phi, float(np.max(np.abs(n)))
+    return phi
 
 
 def sde_sample(spec: ExperimentSpec, point: CslPoint, n_traj: int,
@@ -108,9 +135,15 @@ def sde_sample(spec: ExperimentSpec, point: CslPoint, n_traj: int,
     while it fills and combines the arrays), one worker per usable CPU up
     to the number of blocks, and are assembled in block order: the result
     is bitwise reproducible for a given (seed, n_traj, n_steps) at any
-    worker count.  ``max_step_phase`` is |zeta| max|n| dt at the final
-    step, with the last leg's dt: the value the dispersion-step warning
-    tests.
+    worker count.
+
+    The drift is linear, so the scheme's variance error has a closed form
+    (``_euler_bias``): a leg of m steps with per-step shear c = zeta tau / m,
+    followed by a tail shear a, adds -D tau c (a + c (3m - 1) / 6), with
+    D = N^2 Gamma_S / 2.  It is reported as ``euler_bias`` and is exactly 0
+    where Gamma_S = 0.  A UserWarning asks for more steps when |bias|
+    exceeds 0.1 ``stderr_variance``, where the bias would begin to show
+    against the sampling error.
     """
     if n_traj < 1000:
         raise ValueError("n_traj must be >= 1000")
@@ -141,29 +174,27 @@ def sde_sample(spec: ExperimentSpec, point: CslPoint, n_traj: int,
     workers = min(len(starts), _cpu_count())
     with ThreadPoolExecutor(max_workers=workers) as pool:
         blocks = list(pool.map(run_block, range(len(starts))))
-    phi_all = np.concatenate([phi for phi, _ in blocks])
-    max_abs_n = max(top for _, top in blocks)
-
-    _, tau, steps = legs[-1]
-    max_step_phase = abs(p.zeta) * max_abs_n * (tau / steps)
-    if max_step_phase > 1e-3:
-        warnings.warn(
-            "dispersion step zeta*|n|*dt exceeds 1e-3 rad; "
-            "increase n_steps",
-            stacklevel=2,
-        )
+    phi_all = np.concatenate(blocks)
 
     mean = float(np.mean(phi_all))
     var = float(np.var(phi_all, ddof=1))
+    stderr_var = var * math.sqrt(2.0 / (n_traj - 1))
+    bias = _euler_bias(legs, diff_n)
+    if abs(bias) > _BIAS_SE * stderr_var:
+        warnings.warn(
+            f"Euler bias {bias:.3g} rad^2 of the phase variance exceeds "
+            f"{_BIAS_SE:g} of its standard error; increase n_steps",
+            stacklevel=2,
+        )
     return SdeMoments(
         mean=mean,
         variance=var,
         stderr_mean=math.sqrt(var / n_traj),
-        stderr_variance=var * math.sqrt(2.0 / (n_traj - 1)),
+        stderr_variance=stderr_var,
         t=p.t,
         n_traj=n_traj,
         seed=seed,
-        max_step_phase=max_step_phase,
+        euler_bias=bias,
     )
 
 
@@ -316,6 +347,10 @@ def dicke_evolve(n_atoms: int, r: Rates, zeta: float,
     """
     if n_atoms > 200:
         raise ValueError("Dicke oracle limited to N <= 200")
+    if initial.n_atoms != n_atoms:
+        raise ValueError(
+            f"initial state has n_atoms = {initial.n_atoms}, but "
+            f"n_atoms = {n_atoms} was asked for")
     if r.gamma_p < 0 or r.gamma_s < 0:
         raise ValueError("rates must be nonnegative")
     legs = Protocol(t=t, zeta=zeta, echo=echo).legs(n_steps)
@@ -333,10 +368,6 @@ def dicke_evolve(n_atoms: int, r: Rates, zeta: float,
     return state
 
 
-def _expect(op: np.ndarray, rho: np.ndarray) -> float:
-    return float(np.real(np.trace(op @ rho)))
-
-
 def dicke_phase_variance(state: DickeState):
     """Phase moments extracted from collective-spin expectation values.
 
@@ -344,16 +375,26 @@ def dicke_phase_variance(state: DickeState):
     sigma_phi^2 = Var(J_y') / (<J_x>^2 + <J_y>^2).  Valid for states
     sharply localized on the equator (sigma_phi << 1); a contrast below
     half the maximal spin length flags a biased estimate.
+
+    Every moment is read off the bands of rho: with J_+ = c_k on its
+    sub-diagonal, <J_+> = sum c_k rho[k, k+1] and
+    <J_+^2> = sum c_k c_{k+1} rho[k, k+2], and <J_z^2> from the diagonal.
+    With alpha = arg <J_+>, Var(J_y') = (j(j+1) - <J_z^2>
+    - Re(e^{-2i alpha} <J_+^2>)) / 2, since <J_y'> = 0.
     """
-    jx, jy, jz = spin_operators(state.n_atoms)
+    m, cp = _spin_bands(state.n_atoms)
     rho = state.rho
-    ex, ey = _expect(jx, rho), _expect(jy, rho)
+    jp = np.dot(cp, np.diagonal(rho, 1))
+    ex, ey = float(jp.real), float(jp.imag)
     if ex ** 2 + ey ** 2 <= 0.0:
         raise ValueError("state has no transverse spin component")
     alpha = math.atan2(ey, ex)
-    jyp = -math.sin(alpha) * jx + math.cos(alpha) * jy
-    var_jyp = _expect(jyp @ jyp, rho) - _expect(jyp, rho) ** 2
-    contrast = math.hypot(ex, ey) / (state.n_atoms / 2.0)
+    jp2 = np.dot(cp[:-1] * cp[1:], np.diagonal(rho, 2))
+    jz2 = float(np.dot(m ** 2, np.diagonal(rho).real))
+    j = state.n_atoms / 2.0
+    var_jyp = 0.5 * (j * (j + 1) - jz2
+                     - float((np.exp(-2j * alpha) * jp2).real))
+    contrast = math.hypot(ex, ey) / j
     if contrast < 0.5:
         warnings.warn(
             f"contrast {contrast:.2f} < 0.5: phase-variance estimator biased",

@@ -1,4 +1,5 @@
 import concurrent.futures
+import fractions
 import json
 import math
 import os
@@ -25,6 +26,7 @@ from cslbec import oracles
 from cslbec.oracles import (
     DickeState,
     PositivityError,
+    _euler_bias,
     _jx_dissipator,
     coherent_spin_state,
     dicke_evolve,
@@ -58,15 +60,13 @@ def lam_for_gamma_s(gamma_s):
 
 def serial_sde_sample(spec, point, n_traj, n_steps, seed):
     """The block loop of sde_sample run serially in one thread: the
-    reference for the pooled sampler.  Returns (mean, variance,
-    max_step_phase)."""
+    reference for the pooled sampler.  Returns (mean, variance)."""
     r = rates(point, spec.species, spec.geometry)
     p = spec.protocol
     dt = p.t / n_steps
     sig_phi = math.sqrt(r.gamma_p * p.t)
     sig_n = math.sqrt(spec.state.n_atoms ** 2 * r.gamma_s / 2.0 * dt)
     phi_all = np.empty(n_traj)
-    max_abs_n = 0.0
     for block, start in enumerate(range(0, n_traj, 4096)):
         m = min(4096, n_traj - start)
         key = np.array([seed, block], dtype=np.uint64)
@@ -83,9 +83,23 @@ def serial_sde_sample(spec, point, n_traj, n_steps, seed):
             if sig_n > 0.0:
                 n += sig_n * rng.standard_normal(m)
         phi_all[start:start + m] = phi
-        max_abs_n = max(max_abs_n, float(np.max(np.abs(n))))
-    return (float(np.mean(phi_all)), float(np.var(phi_all, ddof=1)),
-            abs(p.zeta) * max_abs_n * dt)
+    return float(np.mean(phi_all)), float(np.var(phi_all, ddof=1))
+
+
+def discrete_euler_bias(legs, diff_n):
+    """Exact rational sum, step by step, of the Euler scheme's phi-variance
+    less the SDE's.  The increment drawn after a step shears into phi by
+    the later steps' total T; over that step the SDE integrates
+    diff_n (T + zeta (t_end - s))^2 ds, so the step contributes
+    diff_n dt T^2 - diff_n dt (T^2 + T c + c^2 / 3), with c = zeta dt."""
+    total, tail = fractions.Fraction(0), fractions.Fraction(0)
+    for zeta, tau, steps in reversed(legs):
+        dt = fractions.Fraction(tau) / steps
+        c = fractions.Fraction(zeta) * dt
+        for _ in range(steps):
+            total -= dt * (tail * c + c * c / 3)
+            tail += c
+    return float(fractions.Fraction(diff_n) * total)
 
 
 def random_hermitian(dim, rng):
@@ -150,9 +164,6 @@ class TestSdeSample:
         assert abs(m.variance - expected) < 3.0 * m.stderr_variance
         assert abs(m.mean) < 3.0 * m.stderr_mean
 
-    # the coarse-step warning is expected here: the drift is linear so the
-    # second moments stay exact even with large per-step phase increments
-    @pytest.mark.filterwarnings("ignore:dispersion step")
     def test_pure_dispersion_stretch(self):
         # zeta = 1, sigma_n0 = 2, t = 1: variance grows by exactly 4
         spec = swi_unit_spec(10_000, 1.0, 1.0, 1.0, sigma_n0=2.0)
@@ -160,7 +171,6 @@ class TestSdeSample:
         expected = 1.0 / 10_000 + 4.0
         assert abs(m.variance - expected) < 3.0 * m.stderr_variance
 
-    @pytest.mark.filterwarnings("ignore:dispersion step")
     def test_echo_cancels_dispersion(self):
         # MZI: Gamma_S = 0, so the echo leaves only sigma0^2 + Gamma_P t
         geom = MziGeometry(delta_x=10.0, w_x=0.1)
@@ -200,12 +210,9 @@ class TestSdeSample:
         spec = swi_unit_spec(10_000, 1.0, 0.5, 1e-3, echo=echo)
         point = CslPoint(1e-3, OPT)
         m = sde_sample(spec, point, n_traj, 1000, seed=31)
-        assert (m.mean, m.variance, m.max_step_phase) == serial_sde_sample(
+        assert (m.mean, m.variance) == serial_sde_sample(
             spec, point, n_traj, 1000, seed=31)
 
-    # at lambda = 0 each n stays constant, so the Euler steps are exact
-    # however large the step phase (0.6 rad here) that the warning tests
-    @pytest.mark.filterwarnings("ignore:dispersion step")
     def test_echo_with_odd_steps_flips_at_half_time(self):
         # an echo flipped one step early would leave a net shear -zeta dt,
         # z of about 45 here
@@ -247,7 +254,7 @@ class TestSdeSample:
         assert not worker.is_alive(), "sde_sample did not finish in 120 s"
         assert pools == [min(4, cpus)]
         m = results[0]
-        assert (m.mean, m.variance, m.max_step_phase) == serial_sde_sample(
+        assert (m.mean, m.variance) == serial_sde_sample(
             spec, point, n_traj, 1000, seed=31)
 
     def test_caller_error_state_reaches_blocks(self):
@@ -292,17 +299,29 @@ class TestSdeSample:
         assert a.seed == 2 ** 64 - 1
         assert a.variance != b.variance
 
-    def test_step_size_warning(self):
-        spec = swi_unit_spec(10_000, 1.0, 1.0, 50.0, sigma_n0=100.0)
-        with pytest.warns(UserWarning, match="n_steps"):
-            m = sde_sample(spec, CslPoint(0.0, OPT), 1024, 1000, seed=1)
-        assert m.max_step_phase > 1e-3
+    @pytest.mark.parametrize("zeta", [1.0, -0.3, 4.0])
+    @pytest.mark.parametrize("n_steps", [2, 3, 1000, 1001])
+    @pytest.mark.parametrize("echo", [False, True])
+    def test_euler_bias_matches_discrete_sum(self, echo, n_steps, zeta):
+        legs = Protocol(t=1.3, zeta=zeta, echo=echo).legs(n_steps)
+        assert _euler_bias(legs, 2.5) == pytest.approx(
+            discrete_euler_bias(legs, 2.5), rel=1e-9, abs=0)
 
-    @pytest.mark.filterwarnings("error")
-    def test_step_phase_at_most_threshold_is_silent(self):
-        spec = swi_unit_spec(10_000, 1.0, 1.0, 1e-3)
-        m = sde_sample(spec, CslPoint(0.0, OPT), 1024, 1000, seed=1)
-        assert 0.0 < m.max_step_phase <= 1e-3
+    def test_euler_bias_warning(self):
+        # |bias| = 2.5e-5 rad^2, 0.115 standard errors at 12289 draws
+        spec = swi_unit_spec(10_000, 1.0, 1.0, 1e-3, sigma_n0=0.0)
+        point = CslPoint(lam_for_gamma_s(1e-3), OPT)
+        with pytest.warns(UserWarning, match="increase n_steps"):
+            m = sde_sample(spec, point, 12289, 1000, seed=1)
+        assert abs(m.euler_bias) > 0.1 * m.stderr_variance
+
+    def test_euler_bias_below_rule_is_silent(self):
+        # the same point at 4096 draws: the bias is 0.068 standard errors
+        spec = swi_unit_spec(10_000, 1.0, 1.0, 1e-3, sigma_n0=0.0)
+        point = CslPoint(lam_for_gamma_s(1e-3), OPT)
+        m = sde_sample(spec, point, 4096, 1000, seed=1)
+        assert m.euler_bias < 0.0
+        assert abs(m.euler_bias) <= 0.1 * m.stderr_variance
 
     def test_unbiased_over_random_specs(self):
         # closed-form variance inside the 99% interval of the Monte Carlo
@@ -469,6 +488,11 @@ class TestDickeEvolve:
             dicke_evolve(500, Rates(0.0, 0.0), 0.0, 0.0,
                          coherent_spin_state(10), 1.0, 1000)
 
+    def test_rejects_initial_of_other_size(self):
+        with pytest.raises(ValueError, match="n_atoms = 10.*n_atoms = 40"):
+            dicke_evolve(40, Rates(0.0, 0.0), 0.0, 0.0,
+                         coherent_spin_state(10), 1.0, 1000)
+
     def test_echo_leg_without_steps_is_named(self):
         with pytest.raises(ValueError, match="n_steps = 1 leaves"):
             dicke_evolve(4, Rates(0.0, 0.0), 0.1, 0.0,
@@ -511,6 +535,26 @@ class TestDickePhaseVariance:
         rho[-1, -1] = 1.0  # stretched state along +z
         with pytest.raises(ValueError, match="transverse"):
             dicke_phase_variance(DickeState(n, rho))
+
+    @pytest.mark.parametrize("n", [1, 2, 40, 200])
+    def test_matches_dense_moments(self, n):
+        # the band moments against dense J_x, J_y products, on a tilted
+        # and rotated state and on one evolved with both channels
+        jx, jy, _ = spin_operators(n)
+        tilted = coherent_spin_state(n, theta=1.2, phi=2.5)
+        evolved = dicke_evolve(n, Rates(0.05, 0.002), 0.1, 30.0, tilted,
+                               1.0, 100, echo=True)
+        for state in (tilted, evolved):
+            ex = np.real(np.trace(jx @ state.rho))
+            ey = np.real(np.trace(jy @ state.rho))
+            alpha = math.atan2(ey, ex)
+            jyp = -math.sin(alpha) * jx + math.cos(alpha) * jy
+            var = np.real(np.trace(jyp @ jyp @ state.rho)
+                          - np.trace(jyp @ state.rho) ** 2)
+            pm = dicke_phase_variance(state)
+            assert pm.mean == pytest.approx(alpha, rel=1e-12)
+            assert pm.variance == pytest.approx(var / (ex ** 2 + ey ** 2),
+                                                rel=1e-12)
 
     def test_low_contrast_warns(self):
         n = 40
