@@ -27,6 +27,7 @@ from cslbec.oracles import (
     DickeState,
     PositivityError,
     _euler_bias,
+    _jx_coefficients,
     _jx_dissipator,
     coherent_spin_state,
     dicke_evolve,
@@ -442,18 +443,25 @@ class TestDickeEvolve:
         gamma_s = 0.7
         rho = random_hermitian(n + 1, rng)
         dense = gamma_s * dense_lindblad(jx, rho)
-        banded = _jx_dissipator(rho, gamma_s, np.real(np.diag(jx, -1)))
+        plus, minus = _jx_coefficients(np.real(np.diag(jx, -1)), gamma_s)
+        # NaN-filled buffers: any entry the dissipator fails to write shows
+        banded, x, c = (np.full_like(rho, np.nan) for _ in range(3))
+        _jx_dissipator(rho, plus, minus, banded, x, c)
         assert np.max(np.abs(banded - dense)) <= (
             1e-13 * np.max(np.abs(dense)))
 
     def test_matches_dense_rk4_with_echo(self):
-        n, r = 20, Rates(gamma_p=0.3, gamma_s=0.2)
+        # Gamma_S = 0 takes each leg as the single factor exp(g tau)
+        n = 20
         initial = coherent_spin_state(n, theta=1.2, phi=0.4)
-        state = dicke_evolve(n, r, zeta=0.15, epsilon_over_hbar=40.0,
-                             initial=initial, t=1.0, n_steps=400, echo=True)
-        dense = dense_evolve(n, r, 0.15, 40.0, initial.rho, 1.0, 400,
-                             echo=True)
-        assert np.max(np.abs(state.rho - dense)) <= 1e-12
+        for r in (Rates(gamma_p=0.3, gamma_s=0.2),
+                  Rates(gamma_p=0.3, gamma_s=0.0)):
+            state = dicke_evolve(n, r, zeta=0.15, epsilon_over_hbar=40.0,
+                                 initial=initial, t=1.0, n_steps=400,
+                                 echo=True)
+            dense = dense_evolve(n, r, 0.15, 40.0, initial.rho, 1.0, 400,
+                                 echo=True)
+            assert np.max(np.abs(state.rho - dense)) <= 1e-12
 
     def test_fourth_order_convergence(self):
         # the run above against a fine-step one: halving dt cuts the
@@ -483,6 +491,28 @@ class TestDickeEvolve:
         exact = np.exp(-gamma_p * (m[:, None] - m[None, :]) ** 2 * t / 2.0)
         assert np.max(np.abs(state.rho - exact * initial.rho)) <= 1e-14
 
+    @pytest.mark.parametrize("echo", [False, True])
+    def test_work_buffers_stay_private(self, echo):
+        # the steps write in place: neither the caller's initial state nor
+        # an earlier result may share memory with a later call's buffers.
+        # An odd step count ends a leg on one of its work arrays.
+        n, r = 20, Rates(gamma_p=0.3, gamma_s=0.2)
+        initial = coherent_spin_state(n, theta=1.2, phi=0.4)
+        before = initial.rho.copy()
+
+        def run():
+            return dicke_evolve(n, r, zeta=0.15, epsilon_over_hbar=40.0,
+                                initial=initial, t=1.0, n_steps=41,
+                                echo=echo).rho
+
+        first = run()
+        assert np.array_equal(initial.rho, before)
+        kept = first.copy()
+        second = run()
+        assert np.array_equal(first, kept)
+        assert np.array_equal(second, kept)
+        assert not np.shares_memory(first, second)
+
     def test_rejects_large_n(self):
         with pytest.raises(ValueError, match="N <= 200"):
             dicke_evolve(500, Rates(0.0, 0.0), 0.0, 0.0,
@@ -497,6 +527,16 @@ class TestDickeEvolve:
         with pytest.raises(ValueError, match="n_steps = 1 leaves"):
             dicke_evolve(4, Rates(0.0, 0.0), 0.1, 0.0,
                          coherent_spin_state(4), 1.0, 1, echo=True)
+
+    def test_state_check_returns_its_diagnostics(self):
+        n = 40
+        rho = coherent_spin_state(n).rho
+        trace_error, min_eig = DickeState(n, rho).check()
+        assert trace_error == abs(np.trace(rho) - 1.0)
+        assert trace_error <= 1e-14
+        # a pure state: one eigenvalue 1, the other N at 0 up to rounding
+        assert min_eig == np.linalg.eigvalsh(rho)[0]
+        assert abs(min_eig) <= 1e-14
 
     def test_state_check_rejects_bad_matrices(self):
         rho = np.diag([0.7, 0.5, -0.2]).astype(complex)
