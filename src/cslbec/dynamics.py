@@ -109,15 +109,23 @@ class GaussianCharacteristic:
         return GaussianCharacteristic(var_phi, cov, var_n)
 
 
-def propagator_parts(spec: ExperimentSpec, r: Rates) -> tuple:
-    """(initial, collapse) parts of the evolved quadratic form, which add.
+# the two unit-rate channels: the collapse part is linear in (Gamma_P, Gamma_S)
+_UNIT_P = Rates(gamma_p=1.0, gamma_s=0.0)
+_UNIT_S = Rates(gamma_p=0.0, gamma_s=1.0)
 
-    The legs are those of ``Protocol.legs``; this closed form needs no time
-    steps, so their step counts go unused.  The initial covariance goes
-    once through the net dispersion shear sum_k zeta_k tau_k, exactly 0.0
-    for the echo, so no cancellation is left in its initial part.  The
-    collapse noise accumulates leg by leg from zero; it is linear in the
-    rates, which may be arrays.
+
+def propagator_parts(spec: ExperimentSpec) -> tuple:
+    """(initial, unit_p, unit_s) parts of the evolved quadratic form.
+
+    The evolved form is initial + Gamma_P * unit_p + Gamma_S * unit_s,
+    entry by entry (``collapse_part``): the collapse noise is linear in
+    the rates, so its responses to one unit of each rate are scalars fixed
+    by the spec alone, and a rate array costs one linear combination.  The
+    legs are those of ``Protocol.legs``, walked once; this closed form
+    needs no time steps, so their step counts go unused.  The initial
+    covariance goes once through the net dispersion shear sum_k zeta_k
+    tau_k, exactly 0.0 for the echo, so no cancellation is left in its
+    initial part.  The collapse responses accumulate leg by leg from zero.
     """
     legs = spec.protocol.legs(2)
     shear = sum(zeta * tau for zeta, tau, _ in legs)
@@ -125,17 +133,36 @@ def propagator_parts(spec: ExperimentSpec, r: Rates) -> tuple:
     initial = GaussianCharacteristic(
         spec.sigma_phi0_sq + var_n * _square(shear, "protocol.zeta * t"),
         var_n * shear, var_n)
-    noise = GaussianCharacteristic(0.0, 0.0, 0.0)
+    unit_p = unit_s = GaussianCharacteristic(0.0, 0.0, 0.0)
+    n_atoms = spec.state.n_atoms
     for zeta, tau, _ in legs:
-        noise = noise.evolve(zeta, tau, r, spec.state.n_atoms)
-    return initial, noise
+        unit_p = unit_p.evolve(zeta, tau, _UNIT_P, n_atoms)
+        unit_s = unit_s.evolve(zeta, tau, _UNIT_S, n_atoms)
+    if not math.isfinite(unit_s.var_phi):
+        raise OverflowError(
+            "the unit-rate diffusion response N^2 zeta^2 t^3 overflows the "
+            f"float range (N = {n_atoms!r}, zeta = {spec.protocol.zeta!r}, "
+            f"t = {spec.protocol.t!r})")
+    return initial, unit_p, unit_s
+
+
+def collapse_part(unit_p, unit_s, r: Rates):
+    """Gamma_P * unit_p + Gamma_S * unit_s for one entry of the form.
+
+    The forward model and the inference both combine the unit-rate
+    responses here, in this order; over an r_C array the rates are arrays.
+    """
+    return r.gamma_p * unit_p + r.gamma_s * unit_s
 
 
 def _evolved_characteristic(spec: ExperimentSpec, point: CslPoint
                             ) -> GaussianCharacteristic:
-    a, b = propagator_parts(spec, rates(point, spec.species, spec.geometry))
-    return GaussianCharacteristic(a.var_phi + b.var_phi, a.cov + b.cov,
-                                  a.var_n + b.var_n)
+    initial, unit_p, unit_s = propagator_parts(spec)
+    r = rates(point, spec.species, spec.geometry)
+    return GaussianCharacteristic(
+        initial.var_phi + collapse_part(unit_p.var_phi, unit_s.var_phi, r),
+        initial.cov + collapse_part(unit_p.cov, unit_s.cov, r),
+        initial.var_n + collapse_part(unit_p.var_n, unit_s.var_n, r))
 
 
 def phase_variance(spec: ExperimentSpec, point: CslPoint) -> PhaseMoments:

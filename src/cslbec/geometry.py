@@ -143,24 +143,26 @@ def f_closed(geometry, rc) -> GeometryFactors:
     Scalars run through the same array arithmetic, so both agree bit for bit.
     """
     r = _checked_rc(rc)
+    r2 = r ** 2
     if isinstance(geometry, MziGeometry):
         wx, wy, dx = geometry.w_x, geometry.w_y, geometry.delta_x
         # the transverse ratio is exactly 1.0 for w_x = w_y, and stays
         # finite where rc^2 underflows; wx^2/rc^2 is then inf, giving 0
+        wx2_r2 = wx ** 2 + r2
         with np.errstate(divide="ignore"):
-            f_p = (-np.expm1(-dx ** 2 / (4.0 * (wx ** 2 + r ** 2)))) \
-                / (1.0 + wx ** 2 / r ** 2) \
-                * np.sqrt((wx ** 2 + r ** 2) / (wy ** 2 + r ** 2))
+            f_p = (-np.expm1(-dx ** 2 / (4.0 * wx2_r2))) \
+                / (1.0 + wx ** 2 / r2) \
+                * np.sqrt(wx2_r2 / (wy ** 2 + r2))
         f_s = np.zeros_like(f_p)
     elif isinstance(geometry, SwiGeometry):
         x0, wy = geometry.x0, geometry.w_y
-        root = np.sqrt(r ** 2 + wy ** 2)
+        root = np.sqrt(r2 + wy ** 2)
         # one factor of s2 = rc^2 + x0^2 at a time: root * s2 ** 2.5
         # overflows for rc above about 1.7e51 m
-        s2 = r ** 2 + x0 ** 2
+        s2 = r2 + x0 ** 2
         s = np.sqrt(s2)
-        f_s = r ** 2 * x0 ** 2 / root / s2 / s
-        f_p = 3.0 * r ** 2 * x0 ** 4 / (8.0 * root) / s2 / s2 / s
+        f_s = r2 * x0 ** 2 / root / s2 / s
+        f_p = 3.0 * r2 * x0 ** 4 / (8.0 * root) / s2 / s2 / s
     else:
         raise TypeError("geometry must be MziGeometry or SwiGeometry")
     if np.ndim(rc) == 0:

@@ -4,9 +4,12 @@ The forward model is linear in the collapse rate,
 sigma_phi^2(t) = sigma_conv^2(t) + alpha_csl^2(t) * lambda, so bound
 extraction is a one-line inversion and the Fisher information of the
 Gaussian count distribution has a closed form.  Both terms are read off
-the propagator in :mod:`cslbec.dynamics`; the f_P = 1 plateau cap and the
-echo mode's dropped dephasing term are geometry-factor choices made in
-one place, ``_factors``.
+the propagator in :mod:`cslbec.dynamics`: the intercept and the responses
+to unit dephasing and diffusion rates are scalars computed once per spec
+and mode, and only the geometry factors f_P, f_S and one linear
+combination of those responses run on an r_C array.  The f_P = 1 plateau
+cap and the echo mode's dropped dephasing term are geometry-factor
+choices made in one place, ``_factors``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import ExperimentSpec, MziGeometry, _check_positive, _check_seed
-from .dynamics import _square, collapse_rates, propagator_parts
+from .dynamics import (_square, collapse_part, collapse_rates,
+                       propagator_parts)
 from .geometry import f_closed
 
 __all__ = [
@@ -78,34 +82,52 @@ def _factors(spec: ExperimentSpec, rc, mode: str, fp_cap_one: bool):
     return f_p, f.f_s
 
 
-def variance_split(spec: ExperimentSpec, rc, mode: str,
-                   fp_cap_one: bool = False) -> VarianceSplit:
-    """Split the phase variance into conventional and collapse terms.
-
-    Both are the forward model's propagator parts, run with the protocol
-    the mode names (two legs for ``swi_echo``): the initial part, and the
-    collapse part at lambda = 1 with the factors of ``_factors``.  ``rc``
-    may be an array.  The SWI modes need an SWI geometry: MZI modes do not
-    overlap.
-    """
+def _mode_parts(spec: ExperimentSpec, mode: str) -> tuple:
+    """``propagator_parts`` of ``spec`` run with the protocol ``mode``
+    names (two legs for ``swi_echo``), after checking the mode."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if mode != "mzi" and isinstance(spec.geometry, MziGeometry):
         raise ValueError(f"mode {mode!r} requires an SWI geometry, "
                          "got an MZI geometry")
+    echo = mode == "swi_echo"
+    if spec.protocol.echo != echo:
+        spec = replace(spec, protocol=replace(spec.protocol, echo=echo))
+    return propagator_parts(spec)
+
+
+def _slope(spec: ExperimentSpec, parts: tuple, rc, mode: str,
+           fp_cap_one: bool):
+    """alpha_csl^2 at rc: the unit-rate responses of ``parts`` combined
+    with the rates at lambda = 1 and the factors of ``_factors``."""
+    _, unit_p, unit_s = parts
     f_p, f_s = _factors(spec, rc, mode, fp_cap_one)
-    spec = replace(spec, protocol=replace(spec.protocol,
-                                          echo=mode == "swi_echo"))
-    initial, slope = propagator_parts(
-        spec, collapse_rates(1.0, spec.species, f_p, f_s))
-    return VarianceSplit(sigma_conv_sq=initial.var_phi,
-                         alpha_csl_sq=slope.var_phi)
+    return collapse_part(unit_p.var_phi, unit_s.var_phi,
+                         collapse_rates(1.0, spec.species, f_p, f_s))
 
 
-def _excess(spec: ExperimentSpec, split: VarianceSplit) -> float:
+def variance_split(spec: ExperimentSpec, rc, mode: str,
+                   fp_cap_one: bool = False) -> VarianceSplit:
+    """Split the phase variance into conventional and collapse terms.
+
+    Both come from one ``propagator_parts`` call, run with the protocol
+    the mode names (two legs for ``swi_echo``): the intercept is its
+    initial part, and the slope combines its unit-rate responses, scalars
+    fixed by the spec and mode, with the rates at lambda = 1 and the
+    factors of ``_factors``.  Only f_closed and that combination depend
+    on ``rc``, which may be an array.  The SWI modes need an SWI
+    geometry: MZI modes do not overlap.
+    """
+    parts = _mode_parts(spec, mode)
+    return VarianceSplit(sigma_conv_sq=parts[0].var_phi,
+                         alpha_csl_sq=_slope(spec, parts, rc, mode,
+                                             fp_cap_one))
+
+
+def _excess(spec: ExperimentSpec, sigma_conv_sq: float) -> float:
     if spec.xi_t is None:
         raise ValueError("spec has no observed xi_t")
-    return spec.xi_t ** 2 / spec.state.n_atoms - split.sigma_conv_sq
+    return spec.xi_t ** 2 / spec.state.n_atoms - sigma_conv_sq
 
 
 def lambda_bound(spec: ExperimentSpec, rc: float, mode: str,
@@ -121,7 +143,7 @@ def lambda_bound(spec: ExperimentSpec, rc: float, mode: str,
 
 
 def _invert(spec: ExperimentSpec, split: VarianceSplit) -> float:
-    excess = _excess(spec, split)
+    excess = _excess(spec, split.sigma_conv_sq)
     if excess < 0:
         raise ExcessVarianceError(
             "observed spread below conventional prediction"
@@ -135,15 +157,27 @@ def _invert(spec: ExperimentSpec, split: VarianceSplit) -> float:
 
 def exclusion_curve(spec: ExperimentSpec, mode: str, rc_grid,
                     fp_cap_one: bool = False) -> ExclusionCurve:
-    """lambda_bound over the 1-D grid; NaN where lambda_bound would raise."""
+    """lambda_bound over the 1-D grid ``rc_grid``.
+
+    NaN marks the points with no positive bound: a negative excess
+    variance or a zero slope.  A grid that is not 1-D, an r_C outside
+    (0, 6.7e153 m], a bad mode or a spec without xi_t raises for the
+    whole grid.  The intercept and the unit-rate responses are computed
+    once per curve; each block of the grid runs only the geometry
+    factors, their linear combination and the division.
+    """
     rc_grid = np.asarray(rc_grid, dtype=float)
+    if rc_grid.ndim != 1:
+        raise ValueError(
+            f"rc_grid must be a 1-D grid, got shape {rc_grid.shape}")
+    parts = _mode_parts(spec, mode)
+    excess = _excess(spec, parts[0].var_phi)
     bound = np.full(rc_grid.shape, np.nan)
-    for i in range(0, max(len(rc_grid), 1), _BLOCK):
+    for i in range(0, rc_grid.size, _BLOCK):
         rc, out = rc_grid[i:i + _BLOCK], bound[i:i + _BLOCK]
-        split = variance_split(spec, rc, mode, fp_cap_one=fp_cap_one)
-        excess = _excess(spec, split)
-        np.divide(excess, split.alpha_csl_sq, out=out,
-                  where=(excess >= 0) & (split.alpha_csl_sq > 0.0))
+        slope = _slope(spec, parts, rc, mode, fp_cap_one)
+        np.divide(excess, slope, out=out,
+                  where=(excess >= 0) & (slope > 0.0))
     return ExclusionCurve(rc=rc_grid, lambda_bound=bound)
 
 

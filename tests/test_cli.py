@@ -436,10 +436,19 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"error: {name} must be")
 
-    # JSON has no NaN or Infinity: such a result is a numerical failure
-    @pytest.mark.parametrize("scenario, lam, value", [
-        ("rb-mzi", "1e308", "nan"), ("rb-swi", "1e300", "inf")])
-    def test_nonfinite_result_exits_3(self, capsys, scenario, lam, value):
+    # JSON has no NaN or Infinity: such a result is a numerical failure.
+    # At 1e300 Hz rb-swi's sigma_phi^2 = 1.787e308 is still finite, and
+    # N sigma_phi^2 is not; at 1e305 Hz the rates themselves overflow.
+    @pytest.mark.parametrize("scenario, lam, key, value", [
+        pytest.param("rb-mzi", "1e308", "sigma_phi_sq", "nan",
+                     id="rb-mzi-1e308-nan"),
+        pytest.param("rb-swi", "1e300", "xi_t_sq", "inf",
+                     id="rb-swi-1e300-inf"),
+        pytest.param("rb-swi", "1e305", "sigma_phi_sq", "inf",
+                     id="rb-swi-1e305-inf"),
+    ])
+    def test_nonfinite_result_exits_3(self, capsys, scenario, lam, key,
+                                      value):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             code, out, err = run_capture(capsys, [
@@ -448,7 +457,7 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err.startswith(
-            f"numerical failure: sigma_phi_sq is {value}, not a finite number")
+            f"numerical failure: {key} is {value}, not a finite number")
 
     # 1e15 float64 points: numpy refuses the 7 PiB at once, allocating nothing
     @pytest.mark.parametrize("argv", [
@@ -522,11 +531,20 @@ class TestByteStability:
         "curve --scenario rb-swi-echo --rc 1e-9:1e-3:200",
         "geometry --scenario rb-swi --rc 1e-9:1e-3:50",
         "geometry --scenario rb-mzi --rc 1e-9:1e-3:50",
+        "curve --spec {spec:rb-swi-echo} --rc 1e-8:1e-5:100",
     ])
-    def test_csv_sha256_matches_reference(self, capsys, command):
+    def test_csv_sha256_matches_reference(self, capsys, tmp_path, command):
         with open(self.REFERENCE, encoding="utf-8") as f:
             expected = json.load(f)["cli-session"][command]["sha256"]
-        code, out, _ = run_capture(capsys, command.split())
+        argv = command.split()
+        for i, arg in enumerate(argv):
+            # a braced spec placeholder names the scenario written there
+            if arg.startswith("{spec:"):
+                path = tmp_path / "spec.json"
+                path.write_text(json.dumps(spec_to_dict(
+                    SCENARIOS[arg[len("{spec:"):-1]].spec)), encoding="utf-8")
+                argv[i] = str(path)
+        code, out, _ = run_capture(capsys, argv)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
 

@@ -18,12 +18,15 @@ from cslbec.core import (
 from cslbec.dynamics import (
     GaussianCharacteristic,
     PhaseMoments,
+    Rates,
     characteristic_function,
     echo_characteristic_closed,
     phase_variance,
     rates,
     visibility,
     _evolved_characteristic,
+    collapse_part,
+    propagator_parts,
 )
 from cslbec.geometry import f_closed
 from cslbec.scenarios import SCENARIOS
@@ -202,6 +205,54 @@ class TestOverflow:
     def test_named(self, spec, name):
         with pytest.raises(OverflowError, match=f"^{name} squared overflows"):
             phase_variance(spec, CslPoint(1e-10, 1e-6))
+
+
+class TestPropagatorParts:
+    # away from zero, rates and zeta stay clear of subnormal products
+    RATE = st.just(0.0) | st.floats(1e-20, 1e-3)
+    ZETA = (st.just(0.0) | st.floats(1e-3, 1e3)
+            | st.floats(-1e3, -1e-3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_atoms=st.integers(2, 10 ** 9), xi0=st.floats(0.5, 5.0),
+           t=st.floats(1e-3, 100.0), zeta=ZETA, echo=st.booleans(),
+           gamma_p=RATE, gamma_s=RATE)
+    def test_collapse_is_linear_in_the_rates(self, n_atoms, xi0, t, zeta,
+                                             echo, gamma_p, gamma_s):
+        # the unit-rate responses, combined, equal a leg-by-leg evolution
+        # of the collapse noise at those rates
+        spec = swi_spec(state=InitialState(n_atoms=n_atoms, xi0=xi0),
+                        protocol=Protocol(t=t, zeta=zeta, echo=echo))
+        _, unit_p, unit_s = propagator_parts(spec)
+        r = Rates(gamma_p, gamma_s)
+        direct = GaussianCharacteristic(0.0, 0.0, 0.0)
+        for leg_zeta, tau, _ in spec.protocol.legs(2):
+            direct = direct.evolve(leg_zeta, tau, r, n_atoms)
+        for name in ("var_phi", "cov", "var_n"):
+            combined = collapse_part(getattr(unit_p, name),
+                                     getattr(unit_s, name), r)
+            assert combined == pytest.approx(getattr(direct, name),
+                                             rel=1e-13, abs=0), name
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_rates_near_the_float_limit_stay_finite(self):
+        # each rate multiplies a unit response once, so a variance just
+        # below the float maximum does not overflow on the way
+        sc = SCENARIOS["rb-swi"]
+        point = CslPoint(1e300, 1e-6)
+        r = rates(point, sc.spec.species, sc.spec.geometry)
+        n, p = sc.spec.state.n_atoms, sc.spec.protocol
+        expected = (sc.spec.sigma_phi0_sq + r.gamma_p * p.t
+                    + r.gamma_s * p.zeta ** 2 * p.t ** 3 / 6.0 * n ** 2)
+        var = phase_variance(sc.spec, point).variance
+        assert expected > 1e308
+        assert var == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_overflowing_unit_diffusion_is_named(self):
+        # zeta^2 is finite, but N^2 zeta^2 t^3 is not: refused, not NaN
+        spec = order_one_spec(zeta=1e154, echo=True)
+        with pytest.raises(OverflowError, match="unit-rate diffusion"):
+            propagator_parts(spec)
 
 
 class TestCharacteristicFunction:

@@ -15,7 +15,7 @@ from cslbec.core import (
     Species,
     SwiGeometry,
 )
-from cslbec.dynamics import phase_variance
+from cslbec.dynamics import phase_variance, propagator_parts
 from cslbec.geometry import f_closed, optimal_rc
 from cslbec import inference
 from cslbec.inference import (
@@ -260,12 +260,32 @@ class TestExclusionCurve:
         sc = SCENARIOS[name]
         grid = np.geomspace(1e-160, 1e-3, 2 * inference._BLOCK + 1001)
         split = variance_split(sc.spec, grid, sc.mode)
-        excess = inference._excess(sc.spec, split)
+        excess = inference._excess(sc.spec, split.sigma_conv_sq)
         one_pass = np.divide(excess, split.alpha_csl_sq,
                              out=np.full(grid.shape, np.nan),
                              where=(excess >= 0) & (split.alpha_csl_sq > 0.0))
         np.testing.assert_array_equal(
             exclusion_curve(sc.spec, sc.mode, grid).lambda_bound, one_pass)
+
+    def test_unit_responses_once_per_curve(self, monkeypatch):
+        # the intercept and unit slopes are scalars: one propagator pass
+        # for a curve of several blocks
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return propagator_parts(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "propagator_parts", counted)
+        grid = np.geomspace(1e-9, 1e-3, 2 * inference._BLOCK + 1)
+        curve = exclusion_curve(RB_ECHO.spec, "swi_echo", grid)
+        assert len(calls) == 1
+        assert np.isfinite(curve.lambda_bound).all()
+
+    @pytest.mark.parametrize("rc_grid", [1e-6, [[1e-7, 1e-6]]])
+    def test_refuses_grid_that_is_not_1d(self, rc_grid):
+        with pytest.raises(ValueError, match="rc_grid"):
+            exclusion_curve(RB_MZI.spec, "mzi", rc_grid)
 
     def test_undefined_points_become_gaps(self):
         # echo inference with zeta = 0 has zero slope everywhere
