@@ -5,12 +5,18 @@ curves, repetition counts, the built-in scenario table, the stochastic
 oracle and estimator calibration.  Grids/sweeps are emitted as CSV, single
 structured results as JSON.  Exit codes: 0 success, 2 configuration error,
 3 numerical failure, which includes an array too large to allocate.
+
+Each ``_cmd_*`` handler returns its result and writes nothing: a dict is
+JSON, a ``(rows, header)`` pair CSV.  ``run`` alone writes, through
+``_emit``: it renders every output in full, then writes files before
+stdout, so a failing command writes nothing to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -20,27 +26,8 @@ import numpy as np
 from . import core, dynamics, geometry, inference, oracles
 from .scenarios import SCENARIOS
 
-
-def emit_csv(rows, schema, path=None):
-    """Write rows as RFC-4180-style CSV with LF endings.
-
-    Floats are rendered with 9 significant digits so the output is both
-    byte-stable across runs and lossless enough to reload for analysis.
-    """
-
-    def fmt(x):
-        return f"{x:.9g}" if isinstance(x, float) else str(x)
-
-    out = sys.stdout if path is None else open(path, "w", newline="",
-                                               encoding="utf-8")
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(schema)
-        for row in rows:
-            writer.writerow([fmt(x) for x in row])
-    finally:
-        if path is not None:
-            out.close()
+def _fmt(x, digits):
+    return f"{x:.{digits}g}" if isinstance(x, float) else str(x)
 
 
 def _check_finite(obj, key=None):
@@ -52,14 +39,32 @@ def _check_finite(obj, key=None):
         raise FloatingPointError(f"{key} is {obj!r}, not a finite number")
 
 
-def _emit_json(obj, path=None):
-    _check_finite(obj)
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
+def render(result) -> str:
+    """The whole text of a result: sorted, indented JSON for a dict (NaN
+    and infinity refused), CSV for a ``(rows, header)`` pair.
+
+    CSV is RFC-4180 style with LF endings, floats to 9 significant digits,
+    so the output is both byte-stable across runs and lossless enough to
+    reload for analysis.
+    """
+    if isinstance(result, dict):
+        _check_finite(result)
+        return json.dumps(result, indent=2, sort_keys=True) + "\n"
+    rows, header = result
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(x, 9) for x in row] for row in rows)
+    return text.getvalue()
+
+
+def _aligned(rows, header, widths=(12, 12, 6, 6, 14, 7, 7)) -> str:
+    """table1's text table: padded columns, floats to 3 digits."""
+    line = "".join(h.ljust(w) for h, w in zip(header, widths))
+    lines = [line, "-" * len(line)] + [
+        "".join(_fmt(x, 3).ljust(w) for x, w in zip(row, widths))
+        for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _parse_grid(text: str, linear: bool) -> np.ndarray:
@@ -121,9 +126,7 @@ def _cmd_geometry(args):
     for rc, f_p, f_s in zip(grid, closed.f_p, closed.f_s):
         quad = geometry.f_quadrature(overlaps, rc)
         rows.append((rc, f_p, f_s, quad.f_p, quad.f_s))
-    emit_csv(rows, ["rc_m", "f_p", "f_s", "f_p_quadrature", "f_s_quadrature"],
-             args.out)
-    return 0
+    return rows, ["rc_m", "f_p", "f_s", "f_p_quadrature", "f_s_quadrature"]
 
 
 def _point(args, rc):
@@ -137,20 +140,18 @@ def _cmd_variance(args):
     spec, _, rc, _ = _resolve(args)
     point = _point(args, rc)
     moments = dynamics.phase_variance(spec, point)
-    _emit_json({
+    return {
         "sigma_phi_sq": moments.variance,
         "xi_t_sq": spec.state.n_atoms * moments.variance,
         "visibility": dynamics.visibility(spec, point),
         "valid": moments.valid,
-    }, args.out)
-    return 0
+    }
 
 
 def _cmd_bound(args):
     spec, mode, rc, _ = _resolve(args)
     lam = inference.lambda_bound(spec, rc, mode, fp_cap_one=args.fp_cap_one)
-    _emit_json({"lambda_bound_hz": lam, "rc_m": rc, "mode": mode}, args.out)
-    return 0
+    return {"lambda_bound_hz": lam, "rc_m": rc, "mode": mode}
 
 
 def _cmd_curve(args):
@@ -158,16 +159,15 @@ def _cmd_curve(args):
     grid = _parse_grid(args.rc, args.linear)
     curve = inference.exclusion_curve(spec, mode, grid,
                                       fp_cap_one=args.fp_cap_one)
-    rows = list(zip(curve.rc.tolist(), curve.lambda_bound.tolist()))
-    emit_csv(rows, ["rc_m", "lambda_bound_hz"], args.out)
-    return 0
+    return (list(zip(curve.rc.tolist(), curve.lambda_bound.tolist())),
+            ["rc_m", "lambda_bound_hz"])
 
 
 def _cmd_repetitions(args):
     spec, mode, rc, lambda_min = _resolve(args)
     est = inference.repetitions(spec, rc, mode, lambda_min=lambda_min,
                                 delta=args.delta, fp_cap_one=args.fp_cap_one)
-    _emit_json({
+    return {
         "fisher_info": est.fisher_info,
         "k": est.k,
         "k_1_5": est.k_inflated,
@@ -175,30 +175,16 @@ def _cmd_repetitions(args):
         "lambda_min_hz": est.lambda_min,
         "mode": mode,
         "rc_m": rc,
-    }, args.out)
-    return 0
+    }
 
 
 def _cmd_table1(args):
-    rows = inference.table1(delta=args.delta, fp_cap_one=not args.no_fp_cap)
-    table = []
-    for name, sc, est in rows:
-        table.append((name, sc.spec.state.n_atoms, sc.spec.state.xi0,
-                      sc.spec.protocol.t, est.lambda_min, est.k,
-                      est.k_inflated))
-    header = ["scenario", "N", "xi0", "t_s", "lambda_min_hz", "k", "k_1_5"]
-    widths = [12, 12, 6, 6, 14, 7, 7]
-    line = "".join(h.ljust(w) for h, w in zip(header, widths))
-    print(line)
-    print("-" * len(line))
-    for row in table:
-        print("".join(
-            (f"{x:.3g}" if isinstance(x, float) else str(x)).ljust(w)
-            for x, w in zip(row, widths)
-        ))
-    if args.csv:
-        emit_csv(table, header, args.csv)
-    return 0
+    rows = [(name, sc.spec.state.n_atoms, sc.spec.state.xi0,
+             sc.spec.protocol.t, est.lambda_min, est.k, est.k_inflated)
+            for name, sc, est in inference.table1(
+                delta=args.delta, fp_cap_one=not args.no_fp_cap)]
+    return rows, ["scenario", "N", "xi0", "t_s", "lambda_min_hz", "k",
+                  "k_1_5"]
 
 
 def _cmd_simulate(args):
@@ -207,14 +193,13 @@ def _cmd_simulate(args):
     analytic = dynamics.phase_variance(spec, point).variance
     mc = oracles.sde_sample(spec, point, n_traj=args.n_traj,
                             n_steps=args.n_steps, seed=args.seed)
-    _emit_json({
+    return {
         "analytic_variance": analytic,
         "mc_variance": mc.variance,
         "mc_stderr": mc.stderr_variance,
         "z_score": (mc.variance - analytic) / mc.stderr_variance,
         "euler_bias": mc.euler_bias,
-    }, args.out)
-    return 0
+    }
 
 
 def _cmd_calibrate(args):
@@ -231,7 +216,7 @@ def _cmd_calibrate(args):
     res = inference.calibrate_estimator(
         spec, rc, mode, lambda_true=lambda_min, k=k, seed=args.seed,
         n_meta=args.n_meta, fp_cap_one=args.fp_cap_one)
-    _emit_json({
+    return {
         "lambda_hat_mean_hz": res.lambda_hat_mean,
         "lambda_hat_spread_hz": res.lambda_hat_spread,
         "spread_stderr_hz": res.spread_stderr,
@@ -239,21 +224,14 @@ def _cmd_calibrate(args):
         "relative_spread": res.lambda_hat_spread / lambda_min,
         "k": res.k,
         "n_meta": res.n_meta,
-    }, args.out)
-    return 0
+    }
 
 
 def _cmd_scenarios(args):
-    listing = {}
-    for name, sc in SCENARIOS.items():
-        listing[name] = {
-            "mode": sc.mode,
-            "rc_m": sc.rc,
-            "lambda_min_hz": sc.lambda_min,
-            "spec": core.spec_to_dict(sc.spec),
-        }
-    _emit_json(listing, args.out)
-    return 0
+    return {name: {"mode": sc.mode, "rc_m": sc.rc,
+                   "lambda_min_hz": sc.lambda_min,
+                   "spec": core.spec_to_dict(sc.spec)}
+            for name, sc in SCENARIOS.items()}
 
 
 def _build_parser():
@@ -334,11 +312,29 @@ def _build_parser():
     return parser
 
 
+def _emit(args) -> None:
+    """Run the command's handler and write its output: every text is
+    rendered before anything is written, and files go before stdout."""
+    result = args.func(args)
+    if args.command == "table1":
+        outputs = [(args.csv, render(result))] if args.csv else []
+        outputs.append((None, _aligned(*result)))
+    else:
+        outputs = [(args.out, render(result))]
+    for path, text in outputs:
+        if path is None:
+            sys.stdout.write(text)
+        else:
+            with open(path, "w", newline="", encoding="utf-8") as f:
+                f.write(text)
+
+
 def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        _emit(args)
+        return 0
     except (core.SpecError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -87,9 +87,10 @@ def _mode_parts(spec: ExperimentSpec, mode: str) -> tuple:
     names (two legs for ``swi_echo``), after checking the mode."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    if mode != "mzi" and isinstance(spec.geometry, MziGeometry):
-        raise ValueError(f"mode {mode!r} requires an SWI geometry, "
-                         "got an MZI geometry")
+    if (mode == "mzi") != isinstance(spec.geometry, MziGeometry):
+        want, got = ("MZI", "SWI") if mode == "mzi" else ("SWI", "MZI")
+        raise ValueError(f"mode {mode!r} requires an {want} geometry, "
+                         f"got an {got} geometry")
     echo = mode == "swi_echo"
     if spec.protocol.echo != echo:
         spec = replace(spec, protocol=replace(spec.protocol, echo=echo))
@@ -116,7 +117,8 @@ def variance_split(spec: ExperimentSpec, rc, mode: str,
     fixed by the spec and mode, with the rates at lambda = 1 and the
     factors of ``_factors``.  Only f_closed and that combination depend
     on ``rc``, which may be an array.  The SWI modes need an SWI
-    geometry: MZI modes do not overlap.
+    geometry, since MZI modes do not overlap, and ``mzi`` needs an MZI
+    geometry.
     """
     parts = _mode_parts(spec, mode)
     return VarianceSplit(sigma_conv_sq=parts[0].var_phi,
@@ -259,8 +261,12 @@ def calibrate_estimator(spec: ExperimentSpec, rc: float, mode: str,
     O(n_meta) memory at any k, and inverts the linear model for lambda.
     k stops below about 4e25, where that law's relative spread
     sqrt(2/(k-1)) would fall under 1e3 float epsilons and the spread left
-    would be float rounding, not the estimator's.
+    would be float rounding, not the estimator's.  lambda_true must be
+    finite and >= 0.
     """
+    if not (math.isfinite(lambda_true) and lambda_true >= 0):
+        raise ValueError(
+            f"lambda_true must be finite and >= 0, got {lambda_true!r}")
     if not (k >= 100 and math.sqrt(2 / (k - 1)) >= _MIN_CHI2_SPREAD):
         raise ValueError(
             "k must be >= 100 and below about 4e25, where the chi^2 "

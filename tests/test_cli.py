@@ -350,15 +350,11 @@ class TestSpecFiles:
 
 
 class TestEmitCsv:
-    def test_empty_rows_header_only(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        cli.emit_csv([], ["a", "b"], str(path))
-        assert path.read_text() == "a,b\n"
+    def test_empty_rows_header_only(self):
+        assert cli.render(([], ["a", "b"])) == "a,b\n"
 
-    def test_nan_rendering(self, tmp_path):
-        path = tmp_path / "nan.csv"
-        cli.emit_csv([(1.0, math.nan)], ["x", "y"], str(path))
-        assert path.read_text().splitlines()[1] == "1,nan"
+    def test_nan_rendering(self):
+        assert cli.render(([(1.0, math.nan)], ["x", "y"])) == "x,y\n1,nan\n"
 
 
 class TestExitCodes:
@@ -384,6 +380,55 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and "SWI geometry" in err
         assert "Traceback" not in err
+
+    # "mzi" on an SWI spec used to give the swi_plain bound, labelled "mzi"
+    @pytest.mark.parametrize("scenario", ["rb-swi", "rb-swi-echo"])
+    @pytest.mark.parametrize("command", ["bound", "curve", "repetitions"])
+    def test_mzi_mode_on_swi_geometry_is_config_error(self, capsys,
+                                                      scenario, command):
+        grid = ["--rc", "1e-8:1e-6:3"] if command == "curve" else []
+        code, out, err = run_capture(
+            capsys, [command, "--scenario", scenario, "--mode", "mzi", *grid])
+        assert (code, out) == (2, "")
+        assert err == ("error: mode 'mzi' requires an MZI geometry, "
+                       "got an SWI geometry\n")
+
+    # table1 used to print its whole table before failing on --csv
+    @pytest.mark.parametrize("argv", [["table1", "--csv"],
+                                      ["scenarios", "--out"]],
+                             ids=["table1", "scenarios"])
+    def test_unwritable_file_leaves_stdout_empty(self, capsys, tmp_path,
+                                                 argv):
+        path = tmp_path / "absent" / "x"
+        code, out, err = run_capture(capsys, [*argv, str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert not path.parent.exists()
+
+    # one failing argv per command that takes --out; the rendered output
+    # is complete before any file is opened
+    @pytest.mark.parametrize("argv, exit_code", [
+        (["geometry", "--scenario", "rb-mzi", "--rc", "1e-9:inf:4"], 2),
+        (["variance", "--scenario", "rb-mzi", "--lambda-hz", "1e308",
+          "--rc-m", "1e-6"], 3),
+        (["bound", "--scenario", "rb-swi", "--mode", "mzi"], 2),
+        (["curve", "--scenario", "rb-mzi", "--rc", "0:1e-5:10"], 2),
+        (["repetitions", "--scenario", "rb-mzi",
+          "--lambda-min-hz", "1e-320"], 3),
+        (["simulate", "--scenario", "rb-mzi", "--lambda-hz", "1e-10",
+          "--rc-m", "1e-6", "--seed=-1"], 2),
+        (["calibrate", "--scenario", "rb-mzi", "--k", "300",
+          "--n-meta", "1"], 2),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_failure_creates_no_out_file(self, capsys, tmp_path, argv,
+                                         exit_code):
+        path = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code, out, _ = run_capture(capsys, [*argv, "--out", str(path)])
+        assert (code, out) == (exit_code, "")
+        assert not path.exists()
 
     @pytest.mark.parametrize("flag, value", [("--lambda-hz", "nan"),
                                              ("--lambda-hz", "inf"),
@@ -548,6 +593,17 @@ class TestByteStability:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
 
+    def test_table1_sha256_matches_reference(self, capsys, tmp_path):
+        with open(self.REFERENCE, encoding="utf-8") as f:
+            expected = json.load(f)["cli-session"]["table1 --csv {table1.csv}"]
+        path = tmp_path / "table1.csv"
+        code, out, _ = run_capture(capsys, ["table1", "--csv", str(path)])
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() \
+            == expected["stdout_sha256"]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() \
+            == expected["csv_sha256"]
+
 
 class TestColdStart:
     # every CLI call is a fresh process: scipy is a test-only dependency,
@@ -614,7 +670,7 @@ class TestOptionsAreRead:
         if command == "table1":
             argv = ["--csv", str(tmp_path / "table1.csv")]
         args = ReadRecorder(cli._build_parser().parse_args([command, *argv]))
-        assert args.func(args) == 0
+        cli._emit(args)
         assert dests(subcommands()[command]) - args.read == set()
 
     @pytest.mark.parametrize("command", ["bound", "repetitions", "calibrate"])

@@ -115,6 +115,12 @@ class TestVarianceSplit:
         with pytest.raises(ValueError, match="mode"):
             variance_split(RB_MZI.spec, 1e-6, "ramsey")
 
+    @pytest.mark.parametrize("sc", [RB_SWI, RB_ECHO], ids=["plain", "echo"])
+    def test_mzi_mode_needs_mzi_geometry(self, sc):
+        with pytest.raises(ValueError, match="mode 'mzi' requires an MZI "
+                                             "geometry, got an SWI geometry"):
+            variance_split(sc.spec, sc.rc, "mzi")
+
 
 class TestLambdaBound:
     def test_mzi_hand_evaluated(self):
@@ -453,6 +459,13 @@ class TestCalibrateEstimator:
         c = calibrate_estimator(spec, OPT, "swi_plain", 0.01, 200, seed=2)
         assert a.lambda_hat_spread == b.lambda_hat_spread
         assert a.lambda_hat_spread != c.lambda_hat_spread
+
+    @pytest.mark.parametrize("lambda_true", [math.nan, math.inf, -1e-10])
+    def test_refuses_bad_lambda_true(self, lambda_true):
+        with pytest.raises(ValueError, match="lambda_true must be finite "
+                                             "and >= 0"):
+            calibrate_estimator(self.make_unit_spec(), OPT, "swi_plain",
+                                lambda_true, 200, seed=1)
 
     def test_requires_minimum_k(self):
         # below 100; sqrt(2/(k-1)) under 1e3 float epsilons, where the
