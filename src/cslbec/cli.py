@@ -317,7 +317,7 @@ def _emit(args) -> None:
     rendered before anything is written, and files go before stdout."""
     result = args.func(args)
     if args.command == "table1":
-        outputs = [(args.csv, render(result))] if args.csv else []
+        outputs = [(args.csv, render(result))] if args.csv is not None else []
         outputs.append((None, _aligned(*result)))
     else:
         outputs = [(args.out, render(result))]

@@ -11,7 +11,9 @@ vector q:
 Both modes of either geometry share the transverse Gaussian factor
 exp(-q_y^2 w_y^2 / 2), so each integral is a q_x integral times one shared
 q_y integral.  Closed forms exist for both geometries at any widths; the
-numerical quadrature here is their independent cross-check.
+numerical quadrature here is their independent cross-check.  Each closed
+form is written once, one function per factor: ``f_closed`` runs both,
+and the inference runs only those its mode reads.
 """
 
 from __future__ import annotations
@@ -136,33 +138,62 @@ def _checked_rc(rc) -> np.ndarray:
     return r
 
 
+# --- closed forms: one function per factor formula ------------------------
+# Each takes rc^2 as a checked array (``_checked_rc``).  The MZI's f_S is 0:
+# its displaced modes do not overlap.
+
+
+def _mzi_f_p(geometry: MziGeometry, r2):
+    """MZI f_P at rc^2 = ``r2``."""
+    wx, wy, dx = geometry.w_x, geometry.w_y, geometry.delta_x
+    # the transverse ratio is exactly 1.0 for w_x = w_y, and stays
+    # finite where rc^2 underflows; wx^2/rc^2 is then inf, giving 0
+    wx2_r2 = wx ** 2 + r2
+    with np.errstate(divide="ignore"):
+        return (-np.expm1(-dx ** 2 / (4.0 * wx2_r2))) \
+            / (1.0 + wx ** 2 / r2) \
+            * np.sqrt(wx2_r2 / (wy ** 2 + r2))
+
+
+def _swi_radii(geometry: SwiGeometry, r2):
+    """(root, s2, s) = (sqrt(rc^2 + w_y^2), rc^2 + x0^2, sqrt(s2)), the
+    passes both single-well factors share.  Each divides by one factor of
+    s2 at a time: root * s2 ** 2.5 overflows for rc above about 1.7e51 m.
+    """
+    s2 = r2 + geometry.x0 ** 2
+    return np.sqrt(r2 + geometry.w_y ** 2), s2, np.sqrt(s2)
+
+
+def _swi_f_s(geometry: SwiGeometry, r2, radii):
+    """Single-well f_S at rc^2 = ``r2``, from ``_swi_radii``."""
+    root, s2, s = radii
+    return r2 * geometry.x0 ** 2 / root / s2 / s
+
+
+def _swi_f_p(geometry: SwiGeometry, r2, radii):
+    """Single-well f_P at rc^2 = ``r2``, from ``_swi_radii``."""
+    root, s2, s = radii
+    return 3.0 * r2 * geometry.x0 ** 4 / (8.0 * root) / s2 / s2 / s
+
+
 def f_closed(geometry, rc) -> GeometryFactors:
     """Closed-form geometry factors at localization length rc.
 
     ``rc`` may be an array, giving array factors; a scalar gives floats.
-    Scalars run through the same array arithmetic, so both agree bit for bit.
+    Scalars run through the same array arithmetic, so both agree bit for
+    bit.  Each factor's formula is written once, in the ``_mzi_*`` and
+    ``_swi_*`` functions above, which the inference also calls when its
+    mode reads only one factor.
     """
     r = _checked_rc(rc)
     r2 = r ** 2
     if isinstance(geometry, MziGeometry):
-        wx, wy, dx = geometry.w_x, geometry.w_y, geometry.delta_x
-        # the transverse ratio is exactly 1.0 for w_x = w_y, and stays
-        # finite where rc^2 underflows; wx^2/rc^2 is then inf, giving 0
-        wx2_r2 = wx ** 2 + r2
-        with np.errstate(divide="ignore"):
-            f_p = (-np.expm1(-dx ** 2 / (4.0 * wx2_r2))) \
-                / (1.0 + wx ** 2 / r2) \
-                * np.sqrt(wx2_r2 / (wy ** 2 + r2))
+        f_p = _mzi_f_p(geometry, r2)
         f_s = np.zeros_like(f_p)
     elif isinstance(geometry, SwiGeometry):
-        x0, wy = geometry.x0, geometry.w_y
-        root = np.sqrt(r2 + wy ** 2)
-        # one factor of s2 = rc^2 + x0^2 at a time: root * s2 ** 2.5
-        # overflows for rc above about 1.7e51 m
-        s2 = r2 + x0 ** 2
-        s = np.sqrt(s2)
-        f_s = r2 * x0 ** 2 / root / s2 / s
-        f_p = 3.0 * r2 * x0 ** 4 / (8.0 * root) / s2 / s2 / s
+        radii = _swi_radii(geometry, r2)
+        f_s = _swi_f_s(geometry, r2, radii)
+        f_p = _swi_f_p(geometry, r2, radii)
     else:
         raise TypeError("geometry must be MziGeometry or SwiGeometry")
     if np.ndim(rc) == 0:

@@ -6,10 +6,13 @@ extraction is a one-line inversion and the Fisher information of the
 Gaussian count distribution has a closed form.  Both terms are read off
 the propagator in :mod:`cslbec.dynamics`: the intercept and the responses
 to unit dephasing and diffusion rates are scalars computed once per spec
-and mode, and only the geometry factors f_P, f_S and one linear
-combination of those responses run on an r_C array.  The f_P = 1 plateau
-cap and the echo mode's dropped dephasing term are geometry-factor
-choices made in one place, ``_factors``.
+and mode, and only the geometry factors and one linear combination of
+those responses run on an r_C array.  The f_P = 1 plateau cap and the
+echo mode's dropped dephasing term are geometry-factor choices made in
+one place, ``_factors``, which evaluates only the factors its mode
+reads: both for uncapped ``swi_plain``, f_S for ``swi_echo`` and capped
+SWI, f_P for ``mzi`` and none for capped ``mzi``.  Each factor's
+formula is written once, in :mod:`cslbec.geometry`.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import numpy as np
 from .core import ExperimentSpec, MziGeometry, _check_positive, _check_seed
 from .dynamics import (_square, collapse_part, collapse_rates,
                        propagator_parts)
+from . import geometry
 from .geometry import f_closed
 
 __all__ = [
@@ -76,10 +80,29 @@ class RepetitionEstimate:
 
 def _factors(spec: ExperimentSpec, rc, mode: str, fp_cap_one: bool):
     """(f_P, f_S) for the inference: closed forms, f_P = 1 under the plateau
-    cap, f_P = 0 in echo mode (dephasing dropped to stay conservative)."""
-    f = f_closed(spec.geometry, rc)
-    f_p = 0.0 if mode == "swi_echo" else 1.0 if fp_cap_one else f.f_p
-    return f_p, f.f_s
+    cap, f_P = 0 in echo mode (dephasing dropped to stay conservative).
+
+    Only the factors the mode reads are evaluated, each by its one formula
+    in :mod:`cslbec.geometry`: both (``f_closed``) for uncapped
+    ``swi_plain``, f_S alone for ``swi_echo`` and capped SWI, f_P alone
+    for ``mzi``, where f_S is the scalar 0, and none for capped ``mzi``.
+    A scalar ``rc`` gives floats; at an array ``rc`` the capped MZI's
+    constant f_P is broadcast to its shape, so the slope keeps it.
+    """
+    if mode == "swi_plain" and not fp_cap_one:
+        f = f_closed(spec.geometry, rc)
+        return f.f_p, f.f_s
+    g, r2 = spec.geometry, geometry._checked_rc(rc) ** 2
+    if mode == "mzi":
+        f_p = (np.broadcast_to(1.0, r2.shape) if fp_cap_one
+               else geometry._mzi_f_p(g, r2))
+        f_s = 0.0
+    else:
+        f_p = 0.0 if mode == "swi_echo" else 1.0
+        f_s = geometry._swi_f_s(g, r2, geometry._swi_radii(g, r2))
+    if np.ndim(rc) == 0:
+        return tuple(float(np.ravel(f)[0]) for f in (f_p, f_s))
+    return f_p, f_s
 
 
 def _mode_parts(spec: ExperimentSpec, mode: str) -> tuple:
@@ -115,8 +138,9 @@ def variance_split(spec: ExperimentSpec, rc, mode: str,
     the mode names (two legs for ``swi_echo``): the intercept is its
     initial part, and the slope combines its unit-rate responses, scalars
     fixed by the spec and mode, with the rates at lambda = 1 and the
-    factors of ``_factors``.  Only f_closed and that combination depend
-    on ``rc``, which may be an array.  The SWI modes need an SWI
+    factors of ``_factors``.  Only those factors and that combination
+    depend on ``rc``, which may be an array; the slope has its shape, and
+    a scalar ``rc`` gives a float.  The SWI modes need an SWI
     geometry, since MZI modes do not overlap, and ``mzi`` needs an MZI
     geometry.
     """
@@ -165,8 +189,10 @@ def exclusion_curve(spec: ExperimentSpec, mode: str, rc_grid,
     variance or a zero slope.  A grid that is not 1-D, an r_C outside
     (0, 6.7e153 m], a bad mode or a spec without xi_t raises for the
     whole grid.  The intercept and the unit-rate responses are computed
-    once per curve; each block of the grid runs only the geometry
-    factors, their linear combination and the division.
+    once per curve, and so is the sign of the excess: a negative (or
+    NaN) one gives all NaN without a geometry factor.  Otherwise each
+    block of the grid runs only the factors the mode reads, their linear
+    combination and the division.
     """
     rc_grid = np.asarray(rc_grid, dtype=float)
     if rc_grid.ndim != 1:
@@ -175,11 +201,13 @@ def exclusion_curve(spec: ExperimentSpec, mode: str, rc_grid,
     parts = _mode_parts(spec, mode)
     excess = _excess(spec, parts[0].var_phi)
     bound = np.full(rc_grid.shape, np.nan)
+    if not excess >= 0:
+        geometry._checked_rc(rc_grid)
+        return ExclusionCurve(rc=rc_grid, lambda_bound=bound)
     for i in range(0, rc_grid.size, _BLOCK):
         rc, out = rc_grid[i:i + _BLOCK], bound[i:i + _BLOCK]
         slope = _slope(spec, parts, rc, mode, fp_cap_one)
-        np.divide(excess, slope, out=out,
-                  where=(excess >= 0) & (slope > 0.0))
+        np.divide(excess, slope, out=out, where=slope > 0.0)
     return ExclusionCurve(rc=rc_grid, lambda_bound=bound)
 
 

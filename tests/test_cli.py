@@ -406,6 +406,16 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert not path.parent.exists()
 
+    # an empty --csv path used to be taken as no --csv: exit 0, no file
+    @pytest.mark.parametrize("argv", [["table1", "--csv", ""],
+                                      ["bound", "--scenario", "rb-mzi",
+                                       "--out", ""]],
+                             ids=["table1-csv", "bound-out"])
+    def test_empty_output_path_is_config_error(self, capsys, argv):
+        code, out, err = run_capture(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
     # one failing argv per command that takes --out; the rendered output
     # is complete before any file is opened
     @pytest.mark.parametrize("argv, exit_code", [

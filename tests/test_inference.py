@@ -17,7 +17,7 @@ from cslbec.core import (
 )
 from cslbec.dynamics import phase_variance, propagator_parts
 from cslbec.geometry import f_closed, optimal_rc
-from cslbec import inference
+from cslbec import geometry, inference
 from cslbec.inference import (
     ExcessVarianceError,
     MODES,
@@ -37,6 +37,11 @@ RB_MZI = SCENARIOS["rb-mzi"]
 RB_SWI = SCENARIOS["rb-swi"]
 CS_MZI = SCENARIOS["cs-mzi"]
 RB_ECHO = SCENARIOS["rb-swi-echo"]
+
+# every scenario with each mode its geometry allows
+SCENARIO_MODES = [(name, mode) for name, sc in sorted(SCENARIOS.items())
+                  for mode in (("mzi",) if sc.mode == "mzi"
+                               else ("swi_plain", "swi_echo"))]
 
 PAPER_K = {"rb-mzi": 2086, "rb-swi": 3381, "cs-mzi": 1033,
            "rb-swi-echo": 3065}
@@ -110,6 +115,27 @@ class TestVarianceSplit:
         assert forward - dephasing == pytest.approx(
             split.alpha_csl_sq, rel=1e-12)
         assert split.alpha_csl_sq < forward
+
+    @pytest.mark.parametrize("fp_cap_one", [False, True])
+    @pytest.mark.parametrize("name, mode", SCENARIO_MODES)
+    def test_slope_has_the_shape_of_rc(self, name, mode, fp_cap_one):
+        # constant factors (capped MZI: f_P = 1, f_S = 0) still give a
+        # slope per r_C, and a scalar r_C gives Python floats
+        sc = SCENARIOS[name]
+        for grid in (np.geomspace(1e-9, 1e-3, 6),
+                     np.geomspace(1e-9, 1e-3, 6).reshape(2, 3)):
+            slope = variance_split(sc.spec, grid, mode,
+                                   fp_cap_one=fp_cap_one).alpha_csl_sq
+            assert isinstance(slope, np.ndarray)
+            assert (slope.dtype, slope.shape) == (np.float64, grid.shape)
+            pointwise = [variance_split(sc.spec, float(rc), mode,
+                                        fp_cap_one=fp_cap_one).alpha_csl_sq
+                         for rc in grid.ravel()]
+            assert all(type(a) is float for a in pointwise)
+            np.testing.assert_array_equal(slope.ravel(), pointwise)
+        if mode == sc.mode:  # elsewhere the excess can be negative
+            bound = lambda_bound(sc.spec, sc.rc, mode, fp_cap_one=fp_cap_one)
+            assert type(bound) is float
 
     def test_invalid_mode(self):
         with pytest.raises(ValueError, match="mode"):
@@ -287,6 +313,53 @@ class TestExclusionCurve:
         curve = exclusion_curve(RB_ECHO.spec, "swi_echo", grid)
         assert len(calls) == 1
         assert np.isfinite(curve.lambda_bound).all()
+
+    @staticmethod
+    def count_factor_formulas(monkeypatch):
+        """Count the calls of each closed-form factor of cslbec.geometry."""
+        calls = dict.fromkeys(("_mzi_f_p", "_swi_f_p", "_swi_f_s"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _formula=getattr(geometry, name)):
+                calls[_name] += 1
+                return _formula(*args)
+
+            monkeypatch.setattr(geometry, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("name, mode, fp_cap_one, evaluated", [
+        ("rb-swi", "swi_plain", False, {"_swi_f_p", "_swi_f_s"}),
+        ("rb-swi", "swi_plain", True, {"_swi_f_s"}),
+        ("rb-swi-echo", "swi_echo", False, {"_swi_f_s"}),
+        ("rb-swi-echo", "swi_echo", True, {"_swi_f_s"}),
+        ("rb-mzi", "mzi", False, {"_mzi_f_p"}),
+        ("rb-mzi", "mzi", True, set()),
+    ])
+    def test_evaluates_only_the_factors_its_mode_reads(
+            self, monkeypatch, name, mode, fp_cap_one, evaluated):
+        calls = self.count_factor_formulas(monkeypatch)
+        sc = SCENARIOS[name]
+        grid = np.geomspace(1e-9, 1e-3, 2 * inference._BLOCK + 1)
+        curve = exclusion_curve(sc.spec, mode, grid, fp_cap_one=fp_cap_one)
+        # each factor the mode reads once per block, no other
+        assert calls == {n: 3 if n in evaluated else 0 for n in calls}
+        assert np.isfinite(curve.lambda_bound).all()
+
+    @pytest.mark.parametrize("fp_cap_one", [False, True])
+    @pytest.mark.parametrize("name, mode", SCENARIO_MODES)
+    def test_negative_excess_evaluates_no_factor(self, monkeypatch, name,
+                                                 mode, fp_cap_one):
+        calls = self.count_factor_formulas(monkeypatch)
+        narrow = replace(SCENARIOS[name].spec,
+                         xi_t=0.9 * SCENARIOS[name].spec.state.xi0)
+        grid = np.geomspace(1e-9, 1e-3, 2 * inference._BLOCK + 1)
+        curve = exclusion_curve(narrow, mode, grid, fp_cap_one=fp_cap_one)
+        assert np.isnan(curve.lambda_bound).all()
+        # the grid is still checked, whole
+        for bad in (0.0, -1e-6, 1e154, math.inf, math.nan):
+            with pytest.raises(ValueError, match="rc must be"):
+                exclusion_curve(narrow, mode, np.append(grid, bad),
+                                fp_cap_one=fp_cap_one)
+        assert set(calls.values()) == {0}
 
     @pytest.mark.parametrize("rc_grid", [1e-6, [[1e-7, 1e-6]]])
     def test_refuses_grid_that_is_not_1d(self, rc_grid):
