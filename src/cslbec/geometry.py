@@ -146,13 +146,10 @@ def _checked_rc(rc) -> np.ndarray:
 def _mzi_f_p(geometry: MziGeometry, r2):
     """MZI f_P at rc^2 = ``r2``."""
     wx, wy, dx = geometry.w_x, geometry.w_y, geometry.delta_x
-    # the transverse ratio is exactly 1.0 for w_x = w_y, and stays
-    # finite where rc^2 underflows; wx^2/rc^2 is then inf, giving 0
+    # the transverse ratio is exactly 1.0 for w_x = w_y
     wx2_r2 = wx ** 2 + r2
-    with np.errstate(divide="ignore"):
-        return (-np.expm1(-dx ** 2 / (4.0 * wx2_r2))) \
-            / (1.0 + wx ** 2 / r2) \
-            * np.sqrt(wx2_r2 / (wy ** 2 + r2))
+    return (-np.expm1(-dx ** 2 / (4.0 * wx2_r2))) * (r2 / wx2_r2) \
+        * np.sqrt(wx2_r2 / (wy ** 2 + r2))
 
 
 def _swi_radii(geometry: SwiGeometry, r2):
@@ -182,8 +179,7 @@ def f_closed(geometry, rc) -> GeometryFactors:
     ``rc`` may be an array, giving array factors; a scalar gives floats.
     Scalars run through the same array arithmetic, so both agree bit for
     bit.  Each factor's formula is written once, in the ``_mzi_*`` and
-    ``_swi_*`` functions above, which the inference also calls when its
-    mode reads only one factor.
+    ``_swi_*`` functions above, which the inference calls one by one.
     """
     r = _checked_rc(rc)
     r2 = r ** 2

@@ -3,16 +3,11 @@
 The forward model is linear in the collapse rate,
 sigma_phi^2(t) = sigma_conv^2(t) + alpha_csl^2(t) * lambda, so bound
 extraction is a one-line inversion and the Fisher information of the
-Gaussian count distribution has a closed form.  Both terms are read off
-the propagator in :mod:`cslbec.dynamics`: the intercept and the responses
-to unit dephasing and diffusion rates are scalars computed once per spec
-and mode, and only the geometry factors and one linear combination of
-those responses run on an r_C array.  The f_P = 1 plateau cap and the
-echo mode's dropped dephasing term are geometry-factor choices made in
-one place, ``_factors``, which evaluates only the factors its mode
-reads: both for uncapped ``swi_plain``, f_S for ``swi_echo`` and capped
-SWI, f_P for ``mzi`` and none for capped ``mzi``.  Each factor's
-formula is written once, in :mod:`cslbec.geometry`.
+Gaussian count distribution has a closed form.  ``_model`` reads both
+terms off the propagator of :mod:`cslbec.dynamics` and is the one place
+that reads the mode and the f_P = 1 plateau cap; everything else calls
+it.  Only the slope's geometry factors and one linear combination run
+on an r_C array.
 """
 
 from __future__ import annotations
@@ -27,7 +22,6 @@ from .core import ExperimentSpec, MziGeometry, _check_positive, _check_seed
 from .dynamics import (_square, collapse_part, collapse_rates,
                        propagator_parts)
 from . import geometry
-from .geometry import f_closed
 
 __all__ = [
     "MODES",
@@ -66,7 +60,7 @@ class VarianceSplit:
 @dataclass(frozen=True)
 class ExclusionCurve:
     rc: np.ndarray            # m
-    lambda_bound: np.ndarray  # Hz; NaN marks points with no positive bound
+    lambda_bound: np.ndarray  # Hz; NaN marks points with no finite bound
 
 
 @dataclass(frozen=True)
@@ -78,76 +72,64 @@ class RepetitionEstimate:
     lambda_min: float
 
 
-def _factors(spec: ExperimentSpec, rc, mode: str, fp_cap_one: bool):
-    """(f_P, f_S) for the inference: closed forms, f_P = 1 under the plateau
-    cap, f_P = 0 in echo mode (dephasing dropped to stay conservative).
+def _model(spec: ExperimentSpec, mode: str, fp_cap_one: bool):
+    """(sigma_conv^2, slope): the intercept, and alpha_csl^2 as a function
+    of r_C that returns an array of at least one dimension.
 
-    Only the factors the mode reads are evaluated, each by its one formula
-    in :mod:`cslbec.geometry`: both (``f_closed``) for uncapped
-    ``swi_plain``, f_S alone for ``swi_echo`` and capped SWI, f_P alone
-    for ``mzi``, where f_S is the scalar 0, and none for capped ``mzi``.
-    A scalar ``rc`` gives floats; at an array ``rc`` the capped MZI's
-    constant f_P is broadcast to its shape, so the slope keeps it.
+    ``propagator_parts`` runs once, with the protocol the mode names (two
+    legs for ``swi_echo``).  The slope evaluates only the factors the mode
+    reads; the echo mode drops dephasing (f_P = 0) to stay conservative.
     """
-    if mode == "swi_plain" and not fp_cap_one:
-        f = f_closed(spec.geometry, rc)
-        return f.f_p, f.f_s
-    g, r2 = spec.geometry, geometry._checked_rc(rc) ** 2
-    if mode == "mzi":
-        f_p = (np.broadcast_to(1.0, r2.shape) if fp_cap_one
-               else geometry._mzi_f_p(g, r2))
-        f_s = 0.0
-    else:
-        f_p = 0.0 if mode == "swi_echo" else 1.0
-        f_s = geometry._swi_f_s(g, r2, geometry._swi_radii(g, r2))
-    if np.ndim(rc) == 0:
-        return tuple(float(np.ravel(f)[0]) for f in (f_p, f_s))
-    return f_p, f_s
-
-
-def _mode_parts(spec: ExperimentSpec, mode: str) -> tuple:
-    """``propagator_parts`` of ``spec`` run with the protocol ``mode``
-    names (two legs for ``swi_echo``), after checking the mode."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    if (mode == "mzi") != isinstance(spec.geometry, MziGeometry):
+    g = spec.geometry
+    if (mode == "mzi") != isinstance(g, MziGeometry):
         want, got = ("MZI", "SWI") if mode == "mzi" else ("SWI", "MZI")
         raise ValueError(f"mode {mode!r} requires an {want} geometry, "
                          f"got an {got} geometry")
     echo = mode == "swi_echo"
     if spec.protocol.echo != echo:
         spec = replace(spec, protocol=replace(spec.protocol, echo=echo))
-    return propagator_parts(spec)
+    initial, unit_p, unit_s = propagator_parts(spec)
 
+    if mode == "mzi" and fp_cap_one:
+        def factors(r2):  # an array f_P = 1: the slope keeps r_C's shape
+            return np.ones(r2.shape), 0.0
+    elif mode == "mzi":
+        def factors(r2):
+            return geometry._mzi_f_p(g, r2), 0.0
+    elif mode == "swi_plain" and not fp_cap_one:
+        def factors(r2):
+            radii = geometry._swi_radii(g, r2)
+            return (geometry._swi_f_p(g, r2, radii),
+                    geometry._swi_f_s(g, r2, radii))
+    else:
+        f_p = 0.0 if echo else 1.0
 
-def _slope(spec: ExperimentSpec, parts: tuple, rc, mode: str,
-           fp_cap_one: bool):
-    """alpha_csl^2 at rc: the unit-rate responses of ``parts`` combined
-    with the rates at lambda = 1 and the factors of ``_factors``."""
-    _, unit_p, unit_s = parts
-    f_p, f_s = _factors(spec, rc, mode, fp_cap_one)
-    return collapse_part(unit_p.var_phi, unit_s.var_phi,
-                         collapse_rates(1.0, spec.species, f_p, f_s))
+        def factors(r2):
+            return f_p, geometry._swi_f_s(g, r2, geometry._swi_radii(g, r2))
+
+    def slope(rc):
+        rates = collapse_rates(1.0, spec.species,
+                               *factors(geometry._checked_rc(rc) ** 2))
+        return collapse_part(unit_p.var_phi, unit_s.var_phi, rates)
+
+    return initial.var_phi, slope
 
 
 def variance_split(spec: ExperimentSpec, rc, mode: str,
                    fp_cap_one: bool = False) -> VarianceSplit:
     """Split the phase variance into conventional and collapse terms.
 
-    Both come from one ``propagator_parts`` call, run with the protocol
-    the mode names (two legs for ``swi_echo``): the intercept is its
-    initial part, and the slope combines its unit-rate responses, scalars
-    fixed by the spec and mode, with the rates at lambda = 1 and the
-    factors of ``_factors``.  Only those factors and that combination
-    depend on ``rc``, which may be an array; the slope has its shape, and
-    a scalar ``rc`` gives a float.  The SWI modes need an SWI
-    geometry, since MZI modes do not overlap, and ``mzi`` needs an MZI
-    geometry.
+    ``rc`` may be an array: the slope has its shape, and a scalar ``rc``
+    gives a float.  The SWI modes need an SWI geometry, since MZI modes do
+    not overlap, and ``mzi`` needs an MZI geometry.
     """
-    parts = _mode_parts(spec, mode)
-    return VarianceSplit(sigma_conv_sq=parts[0].var_phi,
-                         alpha_csl_sq=_slope(spec, parts, rc, mode,
-                                             fp_cap_one))
+    sigma_conv_sq, slope = _model(spec, mode, fp_cap_one)
+    alpha_csl_sq = slope(rc)
+    if np.ndim(rc) == 0:
+        alpha_csl_sq = float(alpha_csl_sq[0])
+    return VarianceSplit(sigma_conv_sq, alpha_csl_sq)
 
 
 def _excess(spec: ExperimentSpec, sigma_conv_sq: float) -> float:
@@ -156,13 +138,27 @@ def _excess(spec: ExperimentSpec, sigma_conv_sq: float) -> float:
     return spec.xi_t ** 2 / spec.state.n_atoms - sigma_conv_sq
 
 
+def _least_slope(excess: float) -> float:
+    """The least slope alpha_csl^2 > 0 at which excess / alpha_csl^2 is
+    finite.  Below it there is no bound: ``lambda_bound`` raises there and
+    ``exclusion_curve`` gives NaN."""
+    s = max(excess / sys.float_info.max, math.ulp(0.0))
+    while math.isinf(excess / s):
+        s = math.nextafter(s, math.inf)
+    while (t := math.nextafter(s, 0.0)) > 0.0 and not math.isinf(excess / t):
+        s = t
+    return s
+
+
 def lambda_bound(spec: ExperimentSpec, rc: float, mode: str,
                  fp_cap_one: bool = False) -> float:
     """Largest collapse rate consistent with the observed squeezing xi_t.
 
     Inverts the linear variance model at sigma_phi^2 = xi_t^2 / N.  Raises
     ExcessVarianceError when the observed spread is below the conventional
-    prediction (negative excess signals an inconsistent spec, not a bound).
+    prediction (negative excess signals an inconsistent spec, not a
+    bound), ZeroDivisionError for a zero slope and OverflowError for a
+    bound past the float range.
     """
     return _invert(spec, variance_split(spec, rc, mode,
                                         fp_cap_one=fp_cap_one))
@@ -178,6 +174,10 @@ def _invert(spec: ExperimentSpec, split: VarianceSplit) -> float:
         raise ZeroDivisionError(
             "variance has no collapse-rate sensitivity (alpha_csl^2 = 0)"
         )
+    if split.alpha_csl_sq < _least_slope(excess):
+        raise OverflowError(
+            "lambda_bound overflows the float range (excess variance "
+            f"{excess!r} over alpha_csl^2 = {split.alpha_csl_sq!r})")
     return excess / split.alpha_csl_sq
 
 
@@ -185,29 +185,26 @@ def exclusion_curve(spec: ExperimentSpec, mode: str, rc_grid,
                     fp_cap_one: bool = False) -> ExclusionCurve:
     """lambda_bound over the 1-D grid ``rc_grid``.
 
-    NaN marks the points with no positive bound: a negative excess
-    variance or a zero slope.  A grid that is not 1-D, an r_C outside
-    (0, 6.7e153 m], a bad mode or a spec without xi_t raises for the
-    whole grid.  The intercept and the unit-rate responses are computed
-    once per curve, and so is the sign of the excess: a negative (or
-    NaN) one gives all NaN without a geometry factor.  Otherwise each
-    block of the grid runs only the factors the mode reads, their linear
-    combination and the division.
+    NaN marks exactly the points where ``lambda_bound`` raises: a negative
+    excess variance, a zero slope or a bound past the float range.  A grid
+    that is not 1-D, an r_C outside (0, 6.7e153 m], a bad mode or a spec
+    without xi_t raises for the whole grid.  A negative (or NaN) excess
+    gives all NaN without a geometry factor.
     """
     rc_grid = np.asarray(rc_grid, dtype=float)
     if rc_grid.ndim != 1:
         raise ValueError(
             f"rc_grid must be a 1-D grid, got shape {rc_grid.shape}")
-    parts = _mode_parts(spec, mode)
-    excess = _excess(spec, parts[0].var_phi)
+    sigma_conv_sq, slope = _model(spec, mode, fp_cap_one)
+    excess = _excess(spec, sigma_conv_sq)
     bound = np.full(rc_grid.shape, np.nan)
     if not excess >= 0:
         geometry._checked_rc(rc_grid)
         return ExclusionCurve(rc=rc_grid, lambda_bound=bound)
+    least = _least_slope(excess)
     for i in range(0, rc_grid.size, _BLOCK):
-        rc, out = rc_grid[i:i + _BLOCK], bound[i:i + _BLOCK]
-        slope = _slope(spec, parts, rc, mode, fp_cap_one)
-        np.divide(excess, slope, out=out, where=slope > 0.0)
+        alpha = slope(rc_grid[i:i + _BLOCK])
+        np.divide(excess, alpha, out=bound[i:i + _BLOCK], where=alpha >= least)
     return ExclusionCurve(rc=rc_grid, lambda_bound=bound)
 
 
@@ -222,30 +219,31 @@ def repetitions(spec: ExperimentSpec, rc: float, mode: str,
                 fp_cap_one: bool = False) -> RepetitionEstimate:
     """Measurement repetitions needed to resolve lambda_min at precision delta.
 
-    k >= (2/delta^2) (1 + sigma_conv^2 / (lambda alpha_csl^2))^2, reported
-    as a ceiling.  ``k_inflated`` assumes an extra noise broadening
-    2*gamma*t = 0.5 * sigma_conv^2.  ``lambda_min`` defaults to the
-    spec's own exclusion bound.
+    The Cramer-Rao count k >= 1 / (delta^2 lambda^2 F), reported as a
+    ceiling.  ``k_inflated`` takes F with sigma_conv^2 increased by 50 %,
+    an extra noise broadening 2*gamma*t = 0.5 * sigma_conv^2.
+    ``lambda_min`` defaults to the spec's own exclusion bound.
     """
     split = variance_split(spec, rc, mode, fp_cap_one=fp_cap_one)
     if lambda_min is None:
         lambda_min = _invert(spec, split)
     _check_positive("lambda_min", lambda_min)
     _check_positive("delta", delta)
+    fisher = fisher_information(split, lambda_min)
 
-    def k_of(conv):
+    def k_of(f):
         try:
-            c = conv / (lambda_min * split.alpha_csl_sq)
-            return math.ceil(2.0 / delta ** 2 * (1.0 + c) ** 2)
+            return math.ceil(1.0 / (delta ** 2 * lambda_min ** 2 * f))
         except (OverflowError, ZeroDivisionError):
             raise OverflowError(
                 "repetition count k overflows the float range at "
                 f"lambda_min = {lambda_min!r}, delta = {delta!r}") from None
 
+    inflated = VarianceSplit(1.5 * split.sigma_conv_sq, split.alpha_csl_sq)
     return RepetitionEstimate(
-        fisher_info=fisher_information(split, lambda_min),
-        k=k_of(split.sigma_conv_sq),
-        k_inflated=k_of(1.5 * split.sigma_conv_sq),
+        fisher_info=fisher,
+        k=k_of(fisher),
+        k_inflated=k_of(fisher_information(inflated, lambda_min)),
         delta=delta,
         lambda_min=lambda_min,
     )

@@ -10,12 +10,13 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from cslbec import cli
 from cslbec.core import spec_to_dict
-from cslbec.geometry import QuadratureError
+from cslbec.geometry import QuadratureError, f_closed
 from cslbec.scenarios import SCENARIOS
 
 
@@ -129,12 +130,34 @@ class TestCurve:
             assert f"{rc:.9g}" == rc_text
             assert f"{float(bound_text):.9g}" == bound_text
 
+    def test_bound_past_float_range_is_nan(self):
+        # rb-swi's slope is too small to divide by above about 2.4e153 m;
+        # a fresh process, so that any numpy warning would reach stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "cslbec.cli", "curve", "--scenario",
+             "rb-swi", "--rc", "1e153:6e153:3"],
+            env=child_env(), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        _, rows = parse_csv(proc.stdout)
+        assert math.isfinite(float(rows[0][1]))
+        assert [bound for _, bound in rows[1:]] == ["nan", "nan"]
+
     def test_bad_grid_strings(self, capsys):
         for grid in ("1e-6", "abc:def:5", "1e-5:1e-6:10", "0:1e-5:10"):
             code, _, err = run_capture(capsys, [
                 "curve", "--scenario", "rb-mzi", "--rc", grid])
             assert code == 2, grid
             assert "grid" in err
+
+
+@pytest.mark.parametrize("command", ["curve", "geometry"])
+def test_linear_grid(capsys, command):
+    code, out, _ = run_capture(capsys, [
+        command, "--scenario", "rb-mzi", "--rc", "1e-7:1e-6:7", "--linear"])
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [row[0] for row in rows] == [
+        f"{rc:.9g}" for rc in np.linspace(1e-7, 1e-6, 7)]
 
 
 class TestGeometry:
@@ -179,6 +202,28 @@ class TestTable1:
         for name, (k, k15) in paper.items():
             assert got[name][0] == pytest.approx(k, rel=0.03)
             assert got[name][1] == pytest.approx(k15, rel=0.03)
+
+    def test_no_fp_cap_uses_closed_form_f_p(self, capsys, tmp_path):
+        tables = {}
+        for flags in ([], ["--no-fp-cap"]):
+            path = tmp_path / "table1.csv"
+            code, _, _ = run_capture(capsys,
+                                     ["table1", "--csv", str(path), *flags])
+            assert code == 0
+            _, rows = parse_csv(path.read_text())
+            tables[bool(flags)] = {row[0]: row for row in rows}
+        capped, closed = tables[False], tables[True]
+        for name, sc in SCENARIOS.items():
+            if sc.mode != "mzi":
+                assert closed[name] == capped[name]
+                continue
+            # k = ceil(2/delta^2 (1 + c)^2) with the slope 2 (m/u)^2 t f_P
+            f_p = f_closed(sc.spec.geometry, sc.rc).f_p
+            assert f_p == pytest.approx(0.9901, abs=1e-4)
+            slope = 2.0 * sc.spec.species.mass_u ** 2 * sc.spec.protocol.t
+            c = sc.spec.sigma_phi0_sq / (sc.lambda_min * slope * f_p)
+            assert int(closed[name][5]) == math.ceil(200.0 * (1.0 + c) ** 2)
+            assert int(closed[name][5]) > int(capped[name][5])
 
 
 class TestRepetitions:
@@ -278,6 +323,20 @@ class TestSpecFiles:
             assert code == 0, command
             assert all(math.isfinite(v) for v in json.loads(out).values()
                        if isinstance(v, float))
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--scenario", "rb-swi"],
+        # without the scenario's lambda_min the default is the bound: a
+        # numerical failure, not a bad lambda_min
+        ["repetitions", "--spec", "{spec}"],
+    ])
+    def test_bound_past_float_range_exits_3(self, capsys, tmp_path, argv):
+        path = self.write_spec(tmp_path, scenario="rb-swi")
+        argv = [str(path) if a == "{spec}" else a for a in argv]
+        code, out, err = run_capture(capsys, [*argv, "--rc-m", "3e153"])
+        assert (code, out) == (3, "")
+        assert err.startswith(
+            "numerical failure: lambda_bound overflows the float range")
 
     def test_misspelled_key_is_config_error(self, capsys, tmp_path):
         def mutate(d):

@@ -154,6 +154,19 @@ class TestClosedForms:
             f = f_closed(geom, np.array([1e-200, 5e-324]))
             assert np.all(f.f_p == 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("geom", [MZI, MZI_UNEQUAL],
+                             ids=["equal", "unequal"])
+    def test_mzi_f_p_at_subnormal_rc_squared(self, geom):
+        # rc^2 is a subnormal here; w_x^2/rc^2 overflowed and gave f_P = 0
+        rc = np.linspace(2.2e-162, 3e-162, 9)
+        f_p = f_closed(geom, rc).f_p
+        assert np.all(f_p > 0.0)
+        # f_P -> (1 - exp(-dx^2/4w_x^2)) (w_x/w_y) rc^2/w_x^2, where the
+        # first factor is 1.0; both sides round rc^2 to the same subnormal
+        limit = rc ** 2 / geom.w_x ** 2 * (geom.w_x / geom.w_y)
+        np.testing.assert_allclose(f_p, limit, rtol=1e-10)
+
     def test_swi_optimum_values(self):
         x0 = SWI.x0
         rc = math.sqrt(2.0 / 3.0) * x0

@@ -262,7 +262,7 @@ class TestExclusionCurve:
             try:
                 expected.append(lambda_bound(spec, rc, mode,
                                              fp_cap_one=fp_cap_one))
-            except (ExcessVarianceError, ZeroDivisionError):
+            except (ExcessVarianceError, ZeroDivisionError, OverflowError):
                 expected.append(math.nan)
         np.testing.assert_array_equal(curve.lambda_bound, expected)
         return curve.lambda_bound
@@ -285,6 +285,32 @@ class TestExclusionCurve:
         bounds = self.assert_matches_pointwise(narrow, sc.mode, grid,
                                                fp_cap_one)
         assert np.all(np.isnan(bounds))
+
+    @pytest.mark.parametrize("fp_cap_one", [False, True])
+    @pytest.mark.parametrize("name, mode", SCENARIO_MODES)
+    def test_no_bound_rule_over_the_whole_rc_range(self, name, mode,
+                                                   fp_cap_one):
+        # the whole accepted range, denser where rc^2 is subnormal and where
+        # the SWI bounds pass the float range; RuntimeWarnings are errors
+        grid = np.concatenate([np.geomspace(1e-200, 6e153, 1001),
+                               np.geomspace(1e-163, 1e-161, 41),
+                               np.geomspace(1e153, 6e153, 41)])
+        bounds = self.assert_matches_pointwise(SCENARIOS[name].spec, mode,
+                                               grid, fp_cap_one)
+        assert not np.isinf(bounds).any()
+        if name == "rb-swi" and not (mode == "swi_plain" and fp_cap_one):
+            # the slope falls off as f_S ~ x0^2/rc^2 unless f_P = 1 holds it
+            with pytest.raises(OverflowError, match="lambda_bound overflows"):
+                lambda_bound(SCENARIOS[name].spec, 6e153, mode,
+                             fp_cap_one=fp_cap_one)
+
+    @pytest.mark.parametrize("excess", [0.0, 5e-324, 1e-300, 1e-6, 0.025,
+                                        1.0, 1e300])
+    def test_least_slope_is_the_finite_bound_edge(self, excess):
+        least = inference._least_slope(excess)
+        below = math.nextafter(least, 0.0)
+        assert least > 0.0 and math.isfinite(excess / least)
+        assert below == 0.0 or math.isinf(excess / below)
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_blocks_match_one_pass(self, name):
@@ -443,6 +469,12 @@ class TestRepetitions:
             assert est.k == math.ceil(200.0 * (1.0 + c) ** 2)
             assert est.k_inflated == math.ceil(200.0 * (1.0 + 1.5 * c) ** 2)
             assert est.k_inflated >= est.k
+            # the Cramer-Rao relation k = 1/(delta^2 lambda^2 F)
+            inflated = replace(split, sigma_conv_sq=1.5 * split.sigma_conv_sq)
+            for k, s in ((est.k, split), (est.k_inflated, inflated)):
+                f = fisher_information(s, sc.lambda_min)
+                assert k == math.ceil(1.0 / (0.1 ** 2 * sc.lambda_min ** 2
+                                             * f))
 
     def test_fisher_information_relation(self):
         split = variance_split(RB_MZI.spec, 1e-6, "mzi", fp_cap_one=True)
