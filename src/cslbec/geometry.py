@@ -179,7 +179,8 @@ def f_closed(geometry, rc) -> GeometryFactors:
     ``rc`` may be an array, giving array factors; a scalar gives floats.
     Scalars run through the same array arithmetic, so both agree bit for
     bit.  Each factor's formula is written once, in the ``_mzi_*`` and
-    ``_swi_*`` functions above, which the inference calls one by one.
+    ``_swi_*`` functions above, which the inference also calls when its
+    mode reads only one factor.
     """
     r = _checked_rc(rc)
     r2 = r ** 2

@@ -92,26 +92,25 @@ def _model(spec: ExperimentSpec, mode: str, fp_cap_one: bool):
         spec = replace(spec, protocol=replace(spec.protocol, echo=echo))
     initial, unit_p, unit_s = propagator_parts(spec)
 
-    if mode == "mzi" and fp_cap_one:
-        def factors(r2):  # an array f_P = 1: the slope keeps r_C's shape
-            return np.ones(r2.shape), 0.0
+    if mode == "swi_plain" and not fp_cap_one:
+        def factors(rc):  # the one case that reads both factors
+            f = geometry.f_closed(g, np.atleast_1d(rc))
+            return f.f_p, f.f_s
+    elif mode == "mzi" and fp_cap_one:
+        def factors(rc):  # an array f_P = 1: the slope keeps r_C's shape
+            return np.ones(geometry._checked_rc(rc).shape), 0.0
     elif mode == "mzi":
-        def factors(r2):
-            return geometry._mzi_f_p(g, r2), 0.0
-    elif mode == "swi_plain" and not fp_cap_one:
-        def factors(r2):
-            radii = geometry._swi_radii(g, r2)
-            return (geometry._swi_f_p(g, r2, radii),
-                    geometry._swi_f_s(g, r2, radii))
+        def factors(rc):
+            return geometry._mzi_f_p(g, geometry._checked_rc(rc) ** 2), 0.0
     else:
         f_p = 0.0 if echo else 1.0
 
-        def factors(r2):
+        def factors(rc):
+            r2 = geometry._checked_rc(rc) ** 2
             return f_p, geometry._swi_f_s(g, r2, geometry._swi_radii(g, r2))
 
     def slope(rc):
-        rates = collapse_rates(1.0, spec.species,
-                               *factors(geometry._checked_rc(rc) ** 2))
+        rates = collapse_rates(1.0, spec.species, *factors(rc))
         return collapse_part(unit_p.var_phi, unit_s.var_phi, rates)
 
     return initial.var_phi, slope
@@ -138,18 +137,6 @@ def _excess(spec: ExperimentSpec, sigma_conv_sq: float) -> float:
     return spec.xi_t ** 2 / spec.state.n_atoms - sigma_conv_sq
 
 
-def _least_slope(excess: float) -> float:
-    """The least slope alpha_csl^2 > 0 at which excess / alpha_csl^2 is
-    finite.  Below it there is no bound: ``lambda_bound`` raises there and
-    ``exclusion_curve`` gives NaN."""
-    s = max(excess / sys.float_info.max, math.ulp(0.0))
-    while math.isinf(excess / s):
-        s = math.nextafter(s, math.inf)
-    while (t := math.nextafter(s, 0.0)) > 0.0 and not math.isinf(excess / t):
-        s = t
-    return s
-
-
 def lambda_bound(spec: ExperimentSpec, rc: float, mode: str,
                  fp_cap_one: bool = False) -> float:
     """Largest collapse rate consistent with the observed squeezing xi_t.
@@ -174,11 +161,12 @@ def _invert(spec: ExperimentSpec, split: VarianceSplit) -> float:
         raise ZeroDivisionError(
             "variance has no collapse-rate sensitivity (alpha_csl^2 = 0)"
         )
-    if split.alpha_csl_sq < _least_slope(excess):
+    bound = excess / split.alpha_csl_sq
+    if math.isinf(bound):
         raise OverflowError(
             "lambda_bound overflows the float range (excess variance "
             f"{excess!r} over alpha_csl^2 = {split.alpha_csl_sq!r})")
-    return excess / split.alpha_csl_sq
+    return bound
 
 
 def exclusion_curve(spec: ExperimentSpec, mode: str, rc_grid,
@@ -201,10 +189,11 @@ def exclusion_curve(spec: ExperimentSpec, mode: str, rc_grid,
     if not excess >= 0:
         geometry._checked_rc(rc_grid)
         return ExclusionCurve(rc=rc_grid, lambda_bound=bound)
-    least = _least_slope(excess)
     for i in range(0, rc_grid.size, _BLOCK):
-        alpha = slope(rc_grid[i:i + _BLOCK])
-        np.divide(excess, alpha, out=bound[i:i + _BLOCK], where=alpha >= least)
+        alpha, out = slope(rc_grid[i:i + _BLOCK]), bound[i:i + _BLOCK]
+        with np.errstate(over="ignore"):  # past the float range: inf, then NaN
+            np.divide(excess, alpha, out=out, where=alpha > 0.0)
+        out[np.isinf(out)] = np.nan
     return ExclusionCurve(rc=rc_grid, lambda_bound=bound)
 
 
@@ -219,31 +208,30 @@ def repetitions(spec: ExperimentSpec, rc: float, mode: str,
                 fp_cap_one: bool = False) -> RepetitionEstimate:
     """Measurement repetitions needed to resolve lambda_min at precision delta.
 
-    The Cramer-Rao count k >= 1 / (delta^2 lambda^2 F), reported as a
-    ceiling.  ``k_inflated`` takes F with sigma_conv^2 increased by 50 %,
-    an extra noise broadening 2*gamma*t = 0.5 * sigma_conv^2.
-    ``lambda_min`` defaults to the spec's own exclusion bound.
+    k >= (2/delta^2) (1 + sigma_conv^2 / (lambda alpha_csl^2))^2, reported
+    as a ceiling.  ``k_inflated`` assumes an extra noise broadening
+    2*gamma*t = 0.5 * sigma_conv^2.  ``lambda_min`` defaults to the
+    spec's own exclusion bound.
     """
     split = variance_split(spec, rc, mode, fp_cap_one=fp_cap_one)
     if lambda_min is None:
         lambda_min = _invert(spec, split)
     _check_positive("lambda_min", lambda_min)
     _check_positive("delta", delta)
-    fisher = fisher_information(split, lambda_min)
 
-    def k_of(f):
+    def k_of(conv):
         try:
-            return math.ceil(1.0 / (delta ** 2 * lambda_min ** 2 * f))
+            c = conv / (lambda_min * split.alpha_csl_sq)
+            return math.ceil(2.0 / delta ** 2 * (1.0 + c) ** 2)
         except (OverflowError, ZeroDivisionError):
             raise OverflowError(
                 "repetition count k overflows the float range at "
                 f"lambda_min = {lambda_min!r}, delta = {delta!r}") from None
 
-    inflated = VarianceSplit(1.5 * split.sigma_conv_sq, split.alpha_csl_sq)
     return RepetitionEstimate(
-        fisher_info=fisher,
-        k=k_of(fisher),
-        k_inflated=k_of(fisher_information(inflated, lambda_min)),
+        fisher_info=fisher_information(split, lambda_min),
+        k=k_of(split.sigma_conv_sq),
+        k_inflated=k_of(1.5 * split.sigma_conv_sq),
         delta=delta,
         lambda_min=lambda_min,
     )
