@@ -109,8 +109,7 @@ class GaussianCharacteristic:
         return GaussianCharacteristic(var_phi, cov, var_n)
 
 
-# the two unit-rate channels: the collapse part is linear in (Gamma_P, Gamma_S)
-_UNIT_P = Rates(gamma_p=1.0, gamma_s=0.0)
+# the unit diffusion channel: the collapse part is linear in the rates
 _UNIT_S = Rates(gamma_p=0.0, gamma_s=1.0)
 
 
@@ -125,7 +124,9 @@ def propagator_parts(spec: ExperimentSpec) -> tuple:
     needs no time steps, so their step counts go unused.  The initial
     covariance goes once through the net dispersion shear sum_k zeta_k
     tau_k, exactly 0.0 for the echo, so no cancellation is left in its
-    initial part.  The collapse responses accumulate leg by leg from zero.
+    initial part.  Phase noise never feeds back into n, so the unit
+    dephasing response is a phase variance t; the diffusion response
+    accumulates leg by leg from zero.
     """
     legs = spec.protocol.legs(2)
     shear = sum(zeta * tau for zeta, tau, _ in legs)
@@ -133,10 +134,10 @@ def propagator_parts(spec: ExperimentSpec) -> tuple:
     initial = GaussianCharacteristic(
         spec.sigma_phi0_sq + var_n * _square(shear, "protocol.zeta * t"),
         var_n * shear, var_n)
-    unit_p = unit_s = GaussianCharacteristic(0.0, 0.0, 0.0)
+    unit_p = GaussianCharacteristic(spec.protocol.t, 0.0, 0.0)
+    unit_s = GaussianCharacteristic(0.0, 0.0, 0.0)
     n_atoms = spec.state.n_atoms
     for zeta, tau, _ in legs:
-        unit_p = unit_p.evolve(zeta, tau, _UNIT_P, n_atoms)
         unit_s = unit_s.evolve(zeta, tau, _UNIT_S, n_atoms)
     if not math.isfinite(unit_s.var_phi):
         raise OverflowError(

@@ -12,8 +12,9 @@ Both modes of either geometry share the transverse Gaussian factor
 exp(-q_y^2 w_y^2 / 2), so each integral is a q_x integral times one shared
 q_y integral.  Closed forms exist for both geometries at any widths; the
 numerical quadrature here is their independent cross-check.  Each closed
-form is written once, one function per factor: ``f_closed`` runs both,
-and the inference runs only those its mode reads.
+form is written once: the MZI's f_P, and the single-well f_S, whose f_P
+follows from the exact ratio f_P / f_S = 3 x0^2 / (8 (r_C^2 + x0^2)).
+``f_closed`` runs both, and the inference runs only those its mode reads.
 """
 
 from __future__ import annotations
@@ -120,7 +121,6 @@ class GeometryFactors:
 
     f_p: float
     f_s: float
-    rc: float
     error: float | None = None
 
 
@@ -138,7 +138,7 @@ def _checked_rc(rc) -> np.ndarray:
     return r
 
 
-# --- closed forms: one function per factor formula ------------------------
+# --- closed forms: one function per formula --------------------------------
 # Each takes rc^2 as a checked array (``_checked_rc``).  The MZI's f_S is 0:
 # its displaced modes do not overlap.
 
@@ -152,25 +152,14 @@ def _mzi_f_p(geometry: MziGeometry, r2):
         * np.sqrt(wx2_r2 / (wy ** 2 + r2))
 
 
-def _swi_radii(geometry: SwiGeometry, r2):
-    """(root, s2, s) = (sqrt(rc^2 + w_y^2), rc^2 + x0^2, sqrt(s2)), the
-    passes both single-well factors share.  Each divides by one factor of
-    s2 at a time: root * s2 ** 2.5 overflows for rc above about 1.7e51 m.
+def _swi_f_s(geometry: SwiGeometry, r2):
+    """Single-well f_S at rc^2 = ``r2``.  The ratio r2 / s2 <= 1 comes
+    last, so no intermediate leaves the normal float range while ``r2``
+    and the result are normal.
     """
-    s2 = r2 + geometry.x0 ** 2
-    return np.sqrt(r2 + geometry.w_y ** 2), s2, np.sqrt(s2)
-
-
-def _swi_f_s(geometry: SwiGeometry, r2, radii):
-    """Single-well f_S at rc^2 = ``r2``, from ``_swi_radii``."""
-    root, s2, s = radii
-    return r2 * geometry.x0 ** 2 / root / s2 / s
-
-
-def _swi_f_p(geometry: SwiGeometry, r2, radii):
-    """Single-well f_P at rc^2 = ``r2``, from ``_swi_radii``."""
-    root, s2, s = radii
-    return 3.0 * r2 * geometry.x0 ** 4 / (8.0 * root) / s2 / s2 / s
+    x0_sq = geometry.x0 ** 2
+    s2 = r2 + x0_sq
+    return x0_sq / np.sqrt(r2 + geometry.w_y ** 2) / np.sqrt(s2) * (r2 / s2)
 
 
 def f_closed(geometry, rc) -> GeometryFactors:
@@ -178,9 +167,10 @@ def f_closed(geometry, rc) -> GeometryFactors:
 
     ``rc`` may be an array, giving array factors; a scalar gives floats.
     Scalars run through the same array arithmetic, so both agree bit for
-    bit.  Each factor's formula is written once, in the ``_mzi_*`` and
-    ``_swi_*`` functions above, which the inference also calls when its
-    mode reads only one factor.
+    bit.  Each formula is written once, in ``_mzi_f_p`` and ``_swi_f_s``
+    above, which the inference also calls when its mode reads only one
+    factor.  The single-well f_P is f_S times the exact ratio
+    f_P / f_S = 3 x0^2 / (8 (rc^2 + x0^2)).
     """
     r = _checked_rc(rc)
     r2 = r ** 2
@@ -188,20 +178,21 @@ def f_closed(geometry, rc) -> GeometryFactors:
         f_p = _mzi_f_p(geometry, r2)
         f_s = np.zeros_like(f_p)
     elif isinstance(geometry, SwiGeometry):
-        radii = _swi_radii(geometry, r2)
-        f_s = _swi_f_s(geometry, r2, radii)
-        f_p = _swi_f_p(geometry, r2, radii)
+        x0_sq = geometry.x0 ** 2
+        f_s = _swi_f_s(geometry, r2)
+        f_p = f_s * (3.0 / 8.0 * x0_sq / (r2 + x0_sq))
     else:
         raise TypeError("geometry must be MziGeometry or SwiGeometry")
     if np.ndim(rc) == 0:
-        return GeometryFactors(f_p=float(f_p[0]), f_s=float(f_s[0]), rc=rc)
-    return GeometryFactors(f_p=f_p, f_s=f_s, rc=r)
+        return GeometryFactors(f_p=float(f_p[0]), f_s=float(f_s[0]))
+    return GeometryFactors(f_p=f_p, f_s=f_s)
 
 
 # --- quadrature -------------------------------------------------------------
 
 _GH_NODES = 80
 _TRUNC = 8.5  # half-width of the truncated panel rule, in envelope units
+_REL_TOL = 1e-8  # largest working-versus-refined relative difference
 
 
 def _frozen(arrays):
@@ -266,12 +257,11 @@ def _quad_once(overlaps: OverlapMatrix, rc: float, refine: bool):
     return float(pref * f_p), float(pref * f_s)
 
 
-def f_quadrature(overlaps: OverlapMatrix, rc: float,
-                 rel_tol: float = 1e-8) -> GeometryFactors:
+def f_quadrature(overlaps: OverlapMatrix, rc: float) -> GeometryFactors:
     """Numerically integrate the defining f_P/f_S integrals.
 
     Computes each axis with the working rule and a refined rule; raises
-    QuadratureError if the two disagree beyond ``rel_tol`` relatively, and
+    QuadratureError if the two disagree beyond ``_REL_TOL`` relatively, and
     otherwise returns the larger disagreement as ``error``.
     """
     _checked_rc(rc)
@@ -283,13 +273,13 @@ def f_quadrature(overlaps: OverlapMatrix, rc: float,
         if scale == 0:
             continue
         rel = abs(a - b) / scale
-        if rel > rel_tol:
+        if rel > _REL_TOL:
             raise QuadratureError(
                 f"{label} quadrature error estimate "
-                f"{rel:.2e} exceeds {rel_tol:.0e} at rc={rc:g}"
+                f"{rel:.2e} exceeds {_REL_TOL:.0e} at rc={rc:g}"
             )
         error = max(error, rel)
-    return GeometryFactors(f_p=f_p2, f_s=f_s2, rc=rc, error=error)
+    return GeometryFactors(f_p=f_p2, f_s=f_s2, error=error)
 
 
 def optimal_rc(geometry: SwiGeometry) -> float:

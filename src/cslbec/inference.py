@@ -106,8 +106,7 @@ def _model(spec: ExperimentSpec, mode: str, fp_cap_one: bool):
         f_p = 0.0 if echo else 1.0
 
         def factors(rc):
-            r2 = geometry._checked_rc(rc) ** 2
-            return f_p, geometry._swi_f_s(g, r2, geometry._swi_radii(g, r2))
+            return f_p, geometry._swi_f_s(g, geometry._checked_rc(rc) ** 2)
 
     def slope(rc):
         rates = collapse_rates(1.0, spec.species, *factors(rc))
@@ -211,7 +210,7 @@ def repetitions(spec: ExperimentSpec, rc: float, mode: str,
     k >= (2/delta^2) (1 + sigma_conv^2 / (lambda alpha_csl^2))^2, reported
     as a ceiling.  ``k_inflated`` assumes an extra noise broadening
     2*gamma*t = 0.5 * sigma_conv^2.  ``lambda_min`` defaults to the
-    spec's own exclusion bound.
+    spec's own exclusion bound.  A count past 2**53 raises OverflowError.
     """
     split = variance_split(spec, rc, mode, fp_cap_one=fp_cap_one)
     if lambda_min is None:
@@ -219,19 +218,23 @@ def repetitions(spec: ExperimentSpec, rc: float, mode: str,
     _check_positive("lambda_min", lambda_min)
     _check_positive("delta", delta)
 
-    def k_of(conv):
+    def k_of(conv, name):
         try:
             c = conv / (lambda_min * split.alpha_csl_sq)
-            return math.ceil(2.0 / delta ** 2 * (1.0 + c) ** 2)
+            k = 2.0 / delta ** 2 * (1.0 + c) ** 2
         except (OverflowError, ZeroDivisionError):
+            k = math.inf
+        if k > 2.0 ** 53:
             raise OverflowError(
-                "repetition count k overflows the float range at "
-                f"lambda_min = {lambda_min!r}, delta = {delta!r}") from None
+                f"repetition count {name} overflows 2**53, past which a "
+                f"float count is not exact: {name} = {k:.6g} at "
+                f"lambda_min = {lambda_min!r}, delta = {delta!r}")
+        return math.ceil(k)
 
     return RepetitionEstimate(
         fisher_info=fisher_information(split, lambda_min),
-        k=k_of(split.sigma_conv_sq),
-        k_inflated=k_of(1.5 * split.sigma_conv_sq),
+        k=k_of(split.sigma_conv_sq, "k"),
+        k_inflated=k_of(1.5 * split.sigma_conv_sq, "k_inflated"),
         delta=delta,
         lambda_min=lambda_min,
     )

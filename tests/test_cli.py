@@ -142,6 +142,19 @@ class TestCurve:
         assert math.isfinite(float(rows[0][1]))
         assert [bound for _, bound in rows[1:]] == ["nan", "nan"]
 
+    def test_swi_bound_at_tiny_rc(self):
+        # rc^2 is subnormal from about 1.5e-154 m down: the single-well
+        # factors lost their digits there, 1.2 % at 1e-155 m and all of
+        # them at 1e-160 m; a fresh process, so numpy warnings reach stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "cslbec.cli", "curve", "--scenario",
+             "rb-swi", "--rc", "1e-160:1e-150:3"],
+            env=child_env(), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        _, rows = parse_csv(proc.stdout)
+        assert rows[1] == ["1e-155", "2.52731565e+286"]
+        assert math.isfinite(float(rows[0][1]))
+
     def test_bad_grid_strings(self, capsys):
         for grid in ("1e-6", "abc:def:5", "1e-5:1e-6:10", "0:1e-5:10"):
             code, _, err = run_capture(capsys, [
@@ -171,6 +184,16 @@ class TestGeometry:
         for _, f_p, f_s, qp, qs in rows:
             assert float(qp) == pytest.approx(float(f_p), rel=1e-6)
             assert float(qs) == pytest.approx(float(f_s), rel=1e-6)
+
+    def test_swi_tiny_rc_matches_quadrature(self, capsys):
+        # f_p is about 3.7e-292 at 1e-152 m, where it read 0
+        code, out, _ = run_capture(capsys, [
+            "geometry", "--scenario", "rb-swi", "--rc", "1e-152:1e-144:5"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        for _, f_p, f_s, qp, qs in rows:
+            assert float(f_p) == pytest.approx(float(qp), rel=1e-6, abs=0)
+            assert float(f_s) == pytest.approx(float(qs), rel=1e-6, abs=0)
 
     def test_swi_huge_rc_is_silent(self):
         # f_p is about 2.3e-274 here: far below the closed form's
@@ -595,6 +618,17 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(
             "numerical failure: repetition count k overflows")
+
+    @pytest.mark.parametrize("command", ["repetitions", "calibrate"])
+    def test_inexact_repetition_count_is_named(self, capsys, command):
+        # k is about 2.7e26 here: past 2**53 its low digits were noise
+        code, out, err = run_capture(capsys, [
+            command, "--scenario", "rb-swi-echo", "--mode", "swi_plain",
+            "--lambda-min-hz", "1e-19"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith(
+            "numerical failure: repetition count k overflows 2**53")
 
     @pytest.mark.parametrize("argv", [
         ["repetitions", "--scenario", "rb-mzi", "--lambda-min-hz", "1e200"],

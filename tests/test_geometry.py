@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -222,6 +223,43 @@ class TestClosedForms:
         np.testing.assert_array_equal(f.f_p, [s.f_p for s in scalar])
         np.testing.assert_array_equal(f.f_s, [s.f_s for s in scalar])
 
+    @staticmethod
+    def exact_factors(geom, rc):
+        """(f_P, f_S) from the defining closed forms in 400-digit decimals."""
+        D = decimal.Decimal
+        r2 = D(rc) ** 2
+        if isinstance(geom, MziGeometry):
+            a = D(geom.w_x) ** 2 + r2
+            dephase = 1 - (-D(geom.delta_x) ** 2 / (4 * a)).exp()
+            return dephase * r2 / a * (a / (D(geom.w_y) ** 2 + r2)).sqrt(), 0
+        x0_sq = D(geom.x0) ** 2
+        s2 = r2 + x0_sq
+        denom = (r2 + D(geom.w_y) ** 2).sqrt() * s2 * s2.sqrt()
+        return 3 * r2 * x0_sq ** 2 / (8 * denom * s2), r2 * x0_sq / denom
+
+    @pytest.mark.parametrize("geom", [
+        SwiGeometry(x0=SWI.x0, w_y=1e-3 * SWI.x0), SWI,
+        SwiGeometry(x0=SWI.x0, w_y=SWI.x0),
+        SwiGeometry(x0=SWI.x0, w_y=1e3 * SWI.x0), MZI, MZI_UNEQUAL,
+    ], ids=["swi-narrow", "swi", "swi-equal", "swi-wide", "mzi",
+            "mzi-unequal"])
+    def test_matches_high_precision_reference(self, geom):
+        # from the smallest rc whose rc^2 is a normal float to _RC_MAX,
+        # wherever the exact factor is a normal float too
+        grid = np.concatenate([np.geomspace(1.5e-154, 6.7e153, 1001),
+                               np.geomspace(1e-3, 1e3, 61) * SWI.x0])
+        closed = f_closed(geom, grid)
+        tiny = decimal.Decimal(np.finfo(float).tiny)
+        with decimal.localcontext(decimal.Context(prec=400)):
+            for rc, f_p, f_s in zip(grid, closed.f_p, closed.f_s):
+                for got, exact in zip((f_p, f_s),
+                                      self.exact_factors(geom, rc)):
+                    if exact == 0:
+                        assert got == 0.0
+                    elif exact >= tiny:
+                        rel = abs(decimal.Decimal(got) - exact) / exact
+                        assert rel <= 4e-15, (rc, got, exact)
+
 
 class TestQuadratureAgreement:
     @pytest.mark.parametrize("geom,make_ov", [
@@ -317,9 +355,10 @@ class TestSeparableQuadrature:
         assert 0.0 <= q.error <= 1e-8
         assert f_closed(SWI, 1e-6).error is None
 
-    def test_error_estimate_exceeding_tolerance_raises(self):
+    def test_error_estimate_exceeding_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_REL_TOL", 1e-300)
         with pytest.raises(geometry.QuadratureError, match="f_p quadrature"):
-            f_quadrature(overlap_swi(SWI), 1e-6, rel_tol=1e-300)
+            f_quadrature(overlap_swi(SWI), 1e-6)
 
     def test_gauss_rules_computed_once(self, monkeypatch):
         calls = []

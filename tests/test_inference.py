@@ -271,7 +271,7 @@ class TestExclusionCurve:
     @pytest.mark.parametrize("name", ["rb-mzi", "rb-swi", "cs-mzi",
                                       "rb-swi-echo"])
     def test_equals_pointwise_lambda_bound(self, name, fp_cap_one):
-        # below ~1e-158 m the SWI factors underflow to zero: no slope
+        # at 1e-160 m rc^2 is subnormal, yet the SWI factors stay nonzero
         sc = SCENARIOS[name]
         grid = np.geomspace(1e-160, 1e-3, 300)
         bounds = self.assert_matches_pointwise(sc.spec, sc.mode, grid,
@@ -279,7 +279,7 @@ class TestExclusionCurve:
         assert np.isfinite(bounds[-1])
         if sc.mode == "swi_echo" or (sc.mode == "swi_plain"
                                      and not fp_cap_one):
-            assert np.isnan(bounds[0])
+            assert np.isfinite(bounds[0])
         # observed spread below the conventional one: no bound anywhere
         narrow = replace(sc.spec, xi_t=0.9 * sc.spec.state.xi0)
         bounds = self.assert_matches_pointwise(narrow, sc.mode, grid,
@@ -334,8 +334,9 @@ class TestExclusionCurve:
 
     @staticmethod
     def count_factor_formulas(monkeypatch):
-        """Count the calls of each closed-form factor of cslbec.geometry."""
-        calls = dict.fromkeys(("_mzi_f_p", "_swi_f_p", "_swi_f_s"), 0)
+        """Count the calls of each closed-form formula of cslbec.geometry,
+        and of ``f_closed``, which runs both factors."""
+        calls = dict.fromkeys(("_mzi_f_p", "_swi_f_s", "f_closed"), 0)
         for name in calls:
             def counted(*args, _name=name, _formula=getattr(geometry, name)):
                 calls[_name] += 1
@@ -345,7 +346,7 @@ class TestExclusionCurve:
         return calls
 
     @pytest.mark.parametrize("name, mode, fp_cap_one, evaluated", [
-        ("rb-swi", "swi_plain", False, {"_swi_f_p", "_swi_f_s"}),
+        ("rb-swi", "swi_plain", False, {"f_closed", "_swi_f_s"}),
         ("rb-swi", "swi_plain", True, {"_swi_f_s"}),
         ("rb-swi-echo", "swi_echo", False, {"_swi_f_s"}),
         ("rb-swi-echo", "swi_echo", True, {"_swi_f_s"}),
@@ -358,7 +359,7 @@ class TestExclusionCurve:
         sc = SCENARIOS[name]
         grid = np.geomspace(1e-9, 1e-3, 2 * inference._BLOCK + 1)
         curve = exclusion_curve(sc.spec, mode, grid, fp_cap_one=fp_cap_one)
-        # each factor the mode reads once per block, no other
+        # each formula the mode reads once per block, no other
         assert calls == {n: 3 if n in evaluated else 0 for n in calls}
         assert np.isfinite(curve.lambda_bound).all()
 
@@ -467,6 +468,23 @@ class TestRepetitions:
                 f = fisher_information(s, sc.lambda_min)
                 assert k == pytest.approx(
                     1.0 / (0.1 ** 2 * sc.lambda_min ** 2 * f), rel=1e-12, abs=1)
+
+    def test_count_past_2_53_is_refused(self):
+        # past 2**53 a float skips integers, so ceil(k) is no exact count
+        split = variance_split(RB_SWI.spec, RB_SWI.rc, "swi_plain")
+
+        def lambda_at(k, inflation):  # 200 (1 + inflation c)^2 = k
+            return inflation * split.sigma_conv_sq / (
+                split.alpha_csl_sq * (math.sqrt(k / 200.0) - 1.0))
+
+        est = repetitions(RB_SWI.spec, RB_SWI.rc, "swi_plain",
+                          lambda_min=lambda_at(0.999 * 2 ** 53, 1.5))
+        assert 0.99 * 2 ** 53 < est.k_inflated <= 2 ** 53
+        for inflation, name in ((1.5, "k_inflated"), (1.0, "k")):
+            with pytest.raises(OverflowError,
+                               match=rf"^repetition count {name} overflows"):
+                repetitions(RB_SWI.spec, RB_SWI.rc, "swi_plain",
+                            lambda_min=lambda_at(1.001 * 2 ** 53, inflation))
 
     def test_fisher_information_relation(self):
         split = variance_split(RB_MZI.spec, 1e-6, "mzi", fp_cap_one=True)

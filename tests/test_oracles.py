@@ -661,3 +661,46 @@ class TestOracleAgreement:
             n_steps=1000)).variance for p in points]
         assert dicke[0] - dicke[1] == pytest.approx(closed[0] - closed[1],
                                                     rel=0.05, abs=0)
+
+
+class TestDickeLargeN:
+    # the Dicke collapse increment tends to the phase-space closed form as
+    # 1/N; at fixed zeta N the closed-form increment Gamma_P t
+    # + Gamma_S t^3 / 6 (plain) or / 24 (echo) does not depend on N
+    GAMMA_S = 5e-3
+
+    def residuals(self, echo):
+        """Relative Dicke-minus-closed collapse increments at N = 50, 100
+        and 200, and the (50, 100) and (100, 200) extrapolations 2 D(2N) -
+        D(N), each relative to the closed form."""
+        dicke, closed = [], []
+        for n in (50, 100, 200):
+            spec = swi_unit_spec(n, 1.0, 1.0, zeta=1.0 / n, echo=echo)
+            points = (CslPoint(lam_for_gamma_s(self.GAMMA_S), OPT),
+                      CslPoint(0.0, OPT))
+            var = [phase_variance(spec, p).variance for p in points]
+            closed.append(var[0] - var[1])
+            var = [dicke_phase_variance(dicke_evolve(
+                n, rates(p, spec.species, spec.geometry), zeta=1.0 / n,
+                epsilon_over_hbar=100.0, initial=coherent_spin_state(n),
+                t=1.0, n_steps=200, echo=echo)).variance for p in points]
+            dicke.append(var[0] - var[1])
+        assert closed == pytest.approx([closed[0]] * 3, rel=1e-12)
+        return ([d / c - 1.0 for d, c in zip(dicke, closed)],
+                [(2.0 * dicke[i + 1] - dicke[i]) / closed[i + 1] - 1.0
+                 for i in (0, 1)])
+
+    @pytest.mark.parametrize("echo, sign", [(False, -1.0), (True, 1.0)],
+                             ids=["plain", "echo"])
+    def test_extrapolation_in_one_over_n(self, echo, sign):
+        residual, (coarse, fine) = self.residuals(echo)
+        # plain loses part of its zeta^2 diffusion term, the echo gains the
+        # J_x channel's own phase diffusion: each keeps its sign at every N
+        assert all(np.sign(r) == sign for r in residual)
+        # and halves with each doubling of N
+        assert 0.4 < residual[2] / residual[1] < 0.6
+        # 2 D(2N) - D(N) cancels the 1/N term, so what is left shrinks with
+        # N: the finer pair's error is bounded by the coarser pair's, and
+        # the extrapolation lands closer than the largest N alone
+        assert abs(fine) <= abs(coarse)
+        assert abs(fine) < abs(residual[2])
