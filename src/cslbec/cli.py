@@ -210,9 +210,12 @@ def _cmd_calibrate(args):
     core._check_positive("lambda_min", lambda_min)
     k = args.k
     if k is None:
-        k = inference.repetitions(spec, rc, mode, lambda_min=lambda_min,
-                                  delta=args.delta,
-                                  fp_cap_one=args.fp_cap_one).k
+        # only k sizes the run, so only k may refuse it
+        split = inference.variance_split(spec, rc, mode,
+                                         fp_cap_one=args.fp_cap_one)
+        core._check_positive("delta", args.delta)
+        k = inference._repetition_count("k", split.sigma_conv_sq, split,
+                                        lambda_min, args.delta)
     res = inference.calibrate_estimator(
         spec, rc, mode, lambda_true=lambda_min, k=k, seed=args.seed,
         n_meta=args.n_meta, fp_cap_one=args.fp_cap_one)
@@ -335,11 +338,10 @@ def run(argv=None) -> int:
     try:
         _emit(args)
         return 0
-    except (core.SpecError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (geometry.QuadratureError, oracles.PositivityError,
-            ArithmeticError, MemoryError) as exc:
+    except (ArithmeticError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

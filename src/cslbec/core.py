@@ -273,8 +273,11 @@ def validate(spec: ExperimentSpec) -> list:
         v.append("geometry must be MziGeometry or SwiGeometry")
     elif isinstance(g, MziGeometry) and 0 < g.delta_x < 10.0 * g.w_x:
         warnings.warn("MZI geometry intended for delta_x >> w_x", stacklevel=2)
-    if s.n_atoms >= 2 and s.xi0 / math.sqrt(s.n_atoms) > _MAX_SIGMA_PHI:
-        v.append("xi0^2/N exceeds pi^2/9: narrow-phase treatment invalid")
+    for name, xi in (("xi0", s.xi0), ("xi_t", spec.xi_t)):
+        if (xi is not None and s.n_atoms >= 2
+                and xi / math.sqrt(s.n_atoms) > _MAX_SIGMA_PHI):
+            v.append(f"{name}^2/N exceeds pi^2/9: narrow-phase treatment "
+                     "invalid")
     if s.sigma_n0 is None and s.n_atoms >= 2 and s.xi0 > 0:
         v.append(f"state.xi0 = {s.xi0!r} is too small: the default "
                  "state.sigma_n0 = sqrt(N)/xi0 overflows")

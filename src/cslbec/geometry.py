@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(ArithmeticError):
     """Quadrature self-consistency check failed."""
 
 

@@ -202,6 +202,26 @@ def fisher_information(split: VarianceSplit, lam: float) -> float:
                                 "sigma_conv^2 / alpha_csl^2 + lambda"))
 
 
+def _repetition_count(name: str, conv: float, split: VarianceSplit,
+                      lambda_min: float, delta: float) -> int:
+    """Ceiling of (2/delta^2) (1 + conv / (lambda_min alpha_csl^2))^2.
+
+    A count past 2**53, where a float count is not exact, raises an
+    OverflowError naming ``name``.
+    """
+    try:
+        c = conv / (lambda_min * split.alpha_csl_sq)
+        k = 2.0 / delta ** 2 * (1.0 + c) ** 2
+    except (OverflowError, ZeroDivisionError):
+        k = math.inf
+    if k > 2.0 ** 53:
+        raise OverflowError(
+            f"repetition count {name} overflows 2**53, past which a "
+            f"float count is not exact: {name} = {k:.6g} at "
+            f"lambda_min = {lambda_min!r}, delta = {delta!r}")
+    return math.ceil(k)
+
+
 def repetitions(spec: ExperimentSpec, rc: float, mode: str,
                 lambda_min: float = None, delta: float = 0.1,
                 fp_cap_one: bool = False) -> RepetitionEstimate:
@@ -217,24 +237,12 @@ def repetitions(spec: ExperimentSpec, rc: float, mode: str,
         lambda_min = _invert(spec, split)
     _check_positive("lambda_min", lambda_min)
     _check_positive("delta", delta)
-
-    def k_of(conv, name):
-        try:
-            c = conv / (lambda_min * split.alpha_csl_sq)
-            k = 2.0 / delta ** 2 * (1.0 + c) ** 2
-        except (OverflowError, ZeroDivisionError):
-            k = math.inf
-        if k > 2.0 ** 53:
-            raise OverflowError(
-                f"repetition count {name} overflows 2**53, past which a "
-                f"float count is not exact: {name} = {k:.6g} at "
-                f"lambda_min = {lambda_min!r}, delta = {delta!r}")
-        return math.ceil(k)
-
     return RepetitionEstimate(
         fisher_info=fisher_information(split, lambda_min),
-        k=k_of(split.sigma_conv_sq, "k"),
-        k_inflated=k_of(1.5 * split.sigma_conv_sq, "k_inflated"),
+        k=_repetition_count("k", split.sigma_conv_sq, split, lambda_min,
+                            delta),
+        k_inflated=_repetition_count("k_inflated", 1.5 * split.sigma_conv_sq,
+                                     split, lambda_min, delta),
         delta=delta,
         lambda_min=lambda_min,
     )

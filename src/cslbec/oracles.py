@@ -201,7 +201,7 @@ def sde_sample(spec: ExperimentSpec, point: CslPoint, n_traj: int,
 
 # --- Dicke-basis master equation --------------------------------------------
 
-class PositivityError(RuntimeError):
+class PositivityError(ArithmeticError):
     """Density matrix left the positive cone beyond tolerance."""
 
 
@@ -291,31 +291,32 @@ def _band_into(coef: np.ndarray, x: np.ndarray, out: np.ndarray,
     np.add(out[:-1], tmp, out=out[:-1])
 
 
-def _jx_dissipator(rho: np.ndarray, plus: np.ndarray, minus: np.ndarray,
-                   out: np.ndarray, x: np.ndarray, c: np.ndarray) -> None:
+def _jx_dissipator(rho: np.ndarray, band: np.ndarray, out: np.ndarray,
+                   x: np.ndarray, c: np.ndarray) -> None:
     """out = Gamma_S D[J_x] rho on the band of J_x, allocating nothing.
 
-    D[A]rho = -[A, [A, rho]] / 2, taken as X = S rho, C = X - X^H,
-    Y = -S C, D = Y + Y^H with S = sqrt(Gamma_S / 2) J_x, which assumes a
-    Hermitian rho.  ``plus`` and ``minus`` are +-S's band (see
-    ``_jx_coefficients``); ``x`` and ``c`` are scratch arrays shaped like
-    rho, and none of the four arrays may be rho itself.
+    D[A]rho = -[A, [A, rho]] / 2, taken as X = S rho, C = X^H - X,
+    Y = S C, D = Y + Y^H with S = sqrt(Gamma_S / 2) J_x, which assumes a
+    Hermitian rho: C = -[S, rho] carries the sign, so one band serves
+    both products.  ``band`` is S's band (see ``_jx_coefficients``);
+    ``x`` and ``c`` are scratch arrays shaped like rho, and none of the
+    four arrays may be rho itself.
     """
-    _band_into(plus, rho, x, c[1:])
+    _band_into(band, rho, x, c[1:])
     np.conjugate(x.T, out=c)
-    np.subtract(x, c, out=c)
-    _band_into(minus, c, x, out[1:])
+    np.subtract(c, x, out=c)
+    _band_into(band, c, x, out[1:])
     np.conjugate(x.T, out=out)
     np.add(out, x, out=out)
 
 
-def _jx_coefficients(jx_band: np.ndarray, gamma_s: float):
-    """Band coefficients +-sqrt(Gamma_S / 2) J_x[k+1, k] for
-    ``_jx_dissipator``, as full (N, N+1) complex arrays."""
+def _jx_coefficients(jx_band: np.ndarray, gamma_s: float) -> np.ndarray:
+    """Band coefficients sqrt(Gamma_S / 2) J_x[k+1, k] for
+    ``_jx_dissipator``, as a full (N, N+1) complex array."""
     n = jx_band.size
-    plus = np.empty((n, n + 1), dtype=complex)
-    plus[...] = (math.sqrt(0.5 * gamma_s) * jx_band)[:, None]
-    return plus, -plus
+    band = np.empty((n, n + 1), dtype=complex)
+    band[...] = (math.sqrt(0.5 * gamma_s) * jx_band)[:, None]
+    return band
 
 
 def _evolve_segment(rho, mz, jx_band, r: Rates, zeta: float,
@@ -343,29 +344,29 @@ def _evolve_segment(rho, mz, jx_band, r: Rates, zeta: float,
         return rho * np.exp(g * tau)
     dt = tau / n_steps
     half = np.exp(g * (0.5 * dt))
-    plus, minus = _jx_coefficients(jx_band, r.gamma_s)
+    band = _jx_coefficients(jx_band, r.gamma_s)
     k, y, acc, x, c = (np.empty_like(rho) for _ in range(5))
     for _ in range(n_steps):
-        _jx_dissipator(rho, plus, minus, k, x, c)       # k1
+        _jx_dissipator(rho, band, k, x, c)      # k1
         np.multiply(k, dt / 6.0, out=acc)
         acc += rho
         acc *= half
         np.multiply(k, 0.5 * dt, out=y)
         y += rho
         y *= half
-        _jx_dissipator(y, plus, minus, k, x, c)         # k2
+        _jx_dissipator(y, band, k, x, c)        # k2
         rho *= half
         np.multiply(k, 0.5 * dt, out=y)
         y += rho
         k *= dt / 3.0
         acc += k
-        _jx_dissipator(y, plus, minus, k, x, c)         # k3
+        _jx_dissipator(y, band, k, x, c)        # k3
         np.multiply(k, dt, out=y)
         y += rho
         y *= half
         k *= dt / 3.0
         acc += k
-        _jx_dissipator(y, plus, minus, k, x, c)         # k4
+        _jx_dissipator(y, band, k, x, c)        # k4
         acc *= half
         k *= dt / 6.0
         acc += k

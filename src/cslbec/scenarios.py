@@ -1,7 +1,8 @@
 """Built-in scenario registry for one-command reproduction.
 
-Four proposal scenarios (two Mach-Zehnder, two single-well) with their
-working localization length, target rate lambda_min and inference mode.
+Four proposal scenarios (two Mach-Zehnder, two single-well), one row
+each, with their working localization length, target rate lambda_min and
+inference mode.
 """
 
 from __future__ import annotations
@@ -30,59 +31,37 @@ class Scenario:
     lambda_min: float  # Hz
 
 
-def _mzi_scenarios():
-    geometry = MziGeometry(delta_x=10e-6, w_x=100e-9)
-    rb = ExperimentSpec(
-        species=RUBIDIUM_87,
-        geometry=geometry,
-        state=InitialState(n_atoms=300_000, xi0=0.9),
-        protocol=Protocol(t=0.8),
-        xi_t=1.1,
-    )
-    cs = ExperimentSpec(
-        species=CESIUM_133,
-        geometry=geometry,
-        state=InitialState(n_atoms=1_000_000_000, xi0=0.3),
-        protocol=Protocol(t=20.0),
-        xi_t=1.3 * 0.3,
-    )
-    # rc on the f_P plateau (w_x << rc << delta_x)
-    return (Scenario(rb, "mzi", 1e-6, 1e-10),
-            Scenario(cs, "mzi", 1e-6, 1e-16))
+# Both Mach-Zehnder scenarios share one geometry.  For each single well
+# (w_y = x0/sqrt(6)) the diffusion factor peaks at rc = sqrt(2/3) x0; each
+# Mach-Zehnder rc sits on the f_P plateau (w_x << rc << delta_x).
+_MZI_GEOMETRY = MziGeometry(delta_x=10e-6, w_x=100e-9)
+_X0_PLAIN = 0.5e-6
+_X0_ECHO = 100e-9
 
-
-def _swi_scenarios():
-    x0_plain = 0.5e-6
-    plain = ExperimentSpec(
-        species=RUBIDIUM_87,
-        geometry=SwiGeometry(x0=x0_plain),
-        state=InitialState(n_atoms=300_000, xi0=5.0),
-        protocol=Protocol(t=0.5, zeta=6e-3),
-        xi_t=200.0,
-    )
-    x0_echo = 100e-9
-    echo = ExperimentSpec(
-        species=RUBIDIUM_87,
-        geometry=SwiGeometry(x0=x0_echo),
-        state=InitialState(n_atoms=50_000, xi0=1.0),
-        protocol=Protocol(t=0.2, zeta=4.0, echo=True),
-        xi_t=1.15,
-    )
-    # diffusion factor peaks at rc = sqrt(2/3) x0 for w_y = x0/sqrt(6)
-    opt = math.sqrt(2.0 / 3.0)
-    return (Scenario(plain, "swi_plain", opt * x0_plain, 1e-10),
-            Scenario(echo, "swi_echo", opt * x0_echo, 1e-16))
-
-
-def _build_registry():
-    rb_mzi, cs_mzi = _mzi_scenarios()
-    rb_swi, rb_swi_echo = _swi_scenarios()
-    return {
-        "rb-mzi": rb_mzi,
-        "rb-swi": rb_swi,
-        "cs-mzi": cs_mzi,
-        "rb-swi-echo": rb_swi_echo,
-    }
-
-
-SCENARIOS = _build_registry()
+SCENARIOS = {
+    "rb-mzi": Scenario(
+        spec=ExperimentSpec(species=RUBIDIUM_87, geometry=_MZI_GEOMETRY,
+                            state=InitialState(n_atoms=300_000, xi0=0.9),
+                            protocol=Protocol(t=0.8), xi_t=1.1),
+        mode="mzi", rc=1e-6, lambda_min=1e-10),
+    "rb-swi": Scenario(
+        spec=ExperimentSpec(species=RUBIDIUM_87,
+                            geometry=SwiGeometry(x0=_X0_PLAIN),
+                            state=InitialState(n_atoms=300_000, xi0=5.0),
+                            protocol=Protocol(t=0.5, zeta=6e-3), xi_t=200.0),
+        mode="swi_plain", rc=math.sqrt(2.0 / 3.0) * _X0_PLAIN,
+        lambda_min=1e-10),
+    "cs-mzi": Scenario(
+        spec=ExperimentSpec(species=CESIUM_133, geometry=_MZI_GEOMETRY,
+                            state=InitialState(n_atoms=1_000_000_000, xi0=0.3),
+                            protocol=Protocol(t=20.0), xi_t=1.3 * 0.3),
+        mode="mzi", rc=1e-6, lambda_min=1e-16),
+    "rb-swi-echo": Scenario(
+        spec=ExperimentSpec(species=RUBIDIUM_87,
+                            geometry=SwiGeometry(x0=_X0_ECHO),
+                            state=InitialState(n_atoms=50_000, xi0=1.0),
+                            protocol=Protocol(t=0.2, zeta=4.0, echo=True),
+                            xi_t=1.15),
+        mode="swi_echo", rc=math.sqrt(2.0 / 3.0) * _X0_ECHO,
+        lambda_min=1e-16),
+}

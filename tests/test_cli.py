@@ -2,10 +2,12 @@ import argparse
 import contextlib
 import csv
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+import cslbec
 from cslbec import cli
 from cslbec.core import spec_to_dict
 from cslbec.geometry import QuadratureError, f_closed
@@ -308,6 +311,14 @@ class TestCalibrate:
         assert payload["k"] > 10 ** 14
         assert payload["relative_spread"] == pytest.approx(0.1, rel=0.5)
 
+    def test_k_just_under_2_53_runs(self, capsys):
+        # here k_1_5, which calibrate never reads, passes 2**53 and k not
+        code, out, err = run_capture(capsys, [
+            "calibrate", "--scenario", "rb-swi-echo", "--mode", "swi_plain",
+            "--lambda-min-hz", "2.4660331623580223e-14", "--n-meta", "50"])
+        assert code == 0, err
+        assert json.loads(out)["k"] == 4503599627370494
+
 
 class TestSpecFiles:
     def write_spec(self, tmp_path, mutate=None, scenario="rb-mzi"):
@@ -404,6 +415,32 @@ class TestSpecFiles:
         assert err.startswith("error: state.xi0 = 1e-310 is too small")
         assert "sigma_n0 must be finite" not in err
 
+    def test_wide_observed_phase_is_config_error(self, capsys, tmp_path):
+        # xi_t = 2 sqrt(N) is sigma_phi = 2 rad, past the pi/3 of the
+        # narrow-phase model
+        def mutate(d):
+            d["observation"]["xi_t"] = 2.0 * math.sqrt(d["state"]["n_atoms"])
+
+        path = self.write_spec(tmp_path, mutate, scenario="rb-swi")
+        code, out, err = run_capture(capsys, [
+            "bound", "--spec", str(path), "--rc-m", "1e-7",
+            "--mode", "swi_plain"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: xi_t^2/N exceeds pi^2/9")
+
+    @pytest.mark.parametrize("scenario", list(SCENARIOS))
+    def test_spec_file_derives_the_scenario_mode(self, capsys, tmp_path,
+                                                 scenario):
+        path = self.write_spec(tmp_path, scenario=scenario)
+        code, from_file, _ = run_capture(capsys, [
+            "bound", "--spec", str(path),
+            "--rc-m", repr(SCENARIOS[scenario].rc)])
+        assert code == 0
+        code, from_name, _ = run_capture(capsys, [
+            "bound", "--scenario", scenario])
+        assert code == 0
+        assert from_file == from_name
+
     def test_invalid_physics_is_config_error(self, capsys, tmp_path):
         def mutate(d):
             d["protocol"]["t_s"] = -1.0
@@ -449,6 +486,19 @@ class TestExitCodes:
             "geometry", "--scenario", "rb-mzi", "--rc", "1e-8:1e-6:3"])
         assert code == 3
         assert "numerical failure" in err
+
+    def test_every_package_error_has_an_exit_code(self):
+        # run maps ValueError to exit 2 and ArithmeticError to exit 3, so
+        # no exception class the package defines may fall outside both
+        errors = [
+            obj for info in pkgutil.iter_modules(cslbec.__path__)
+            for obj in vars(importlib.import_module(
+                f"cslbec.{info.name}")).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__.startswith("cslbec.")]
+        assert len(errors) >= 4
+        for error in errors:
+            assert issubclass(error, (ValueError, ArithmeticError)), error
 
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit):

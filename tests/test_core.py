@@ -288,20 +288,28 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def specs(draw):
-    """Dataclass specs over every field's range; validate may reject some."""
+    """Dataclass specs over every field's range; validate may reject some.
+
+    xi_t is drawn mostly at or below the narrow-phase limit pi/3 sqrt(N),
+    so that enough specs are valid, and now and then anywhere above xi0.
+    """
     xi0 = draw(POSITIVE)
+    species = Species(draw(st.text(max_size=8)), draw(POSITIVE))
+    geometry = draw(
+        st.builds(MziGeometry, POSITIVE, POSITIVE, st.none() | POSITIVE)
+        | st.builds(SwiGeometry, POSITIVE, st.none() | POSITIVE))
+    state = InitialState(draw(st.integers(2, 2 ** 53)), xi0,
+                         draw(st.none() | NONNEGATIVE))
+    xi_t_max = max(xi0, math.pi / 3.0 * math.sqrt(state.n_atoms))
     return ExperimentSpec(
-        species=Species(draw(st.text(max_size=8)), draw(POSITIVE)),
-        geometry=draw(
-            st.builds(MziGeometry, POSITIVE, POSITIVE, st.none() | POSITIVE)
-            | st.builds(SwiGeometry, POSITIVE, st.none() | POSITIVE)),
-        state=InitialState(draw(st.integers(2, 2 ** 53)), xi0,
-                           draw(st.none() | NONNEGATIVE)),
+        species=species,
+        geometry=geometry,
+        state=state,
         protocol=Protocol(draw(POSITIVE), draw(FINITE), draw(st.booleans()),
                           draw(FINITE)),
         noise=NoiseModel(draw(NONNEGATIVE)),
-        xi_t=draw(st.none() | st.floats(min_value=xi0,
-                                        allow_infinity=False)),
+        xi_t=draw(st.none() | st.floats(xi0, xi_t_max)
+                  | st.floats(min_value=xi0, allow_infinity=False)),
     )
 
 

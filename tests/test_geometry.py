@@ -444,6 +444,14 @@ class TestOptimalRc:
             lo, hi = grid[max(i - 2, 0)], grid[min(i + 2, grid.size - 1)]
         assert optimal_rc(g) == pytest.approx(grid[i], rel=1e-6, abs=0)
 
+    @pytest.mark.parametrize("name", ["rb-swi", "rb-swi-echo"])
+    def test_scenario_rc_is_the_optimum(self, name):
+        # each single-well scenario works at sqrt(2/3) x0, which the root
+        # optimal_rc computes reaches to within rounding
+        sc = SCENARIOS[name]
+        assert sc.rc == pytest.approx(optimal_rc(sc.spec.geometry),
+                                      rel=4.5e-16, abs=0)
+
     def test_general_w_y_numerical_optimum(self):
         g = SwiGeometry(x0=0.5e-6, w_y=0.3e-6)
         rc = optimal_rc(g)

@@ -443,10 +443,10 @@ class TestDickeEvolve:
         gamma_s = 0.7
         rho = random_hermitian(n + 1, rng)
         dense = gamma_s * dense_lindblad(jx, rho)
-        plus, minus = _jx_coefficients(np.real(np.diag(jx, -1)), gamma_s)
+        band = _jx_coefficients(np.real(np.diag(jx, -1)), gamma_s)
         # NaN-filled buffers: any entry the dissipator fails to write shows
         banded, x, c = (np.full_like(rho, np.nan) for _ in range(3))
-        _jx_dissipator(rho, plus, minus, banded, x, c)
+        _jx_dissipator(rho, band, banded, x, c)
         assert np.max(np.abs(banded - dense)) <= (
             1e-13 * np.max(np.abs(dense)))
 
