@@ -86,21 +86,17 @@ def _parse_grid(text: str, linear: bool) -> np.ndarray:
 
 
 def _resolve(args):
-    """Spec, mode, working rc and lambda_min from --scenario or --spec,
-    overridden by --mode, --rc-m and --lambda-min-hz where given."""
+    """Spec, working rc and lambda_min from --scenario or --spec,
+    overridden by --rc-m and --lambda-min-hz where given."""
     name, path = args.scenario, args.spec
     if name:
         sc = SCENARIOS[name]
-        spec, mode, rc, lambda_min = sc.spec, sc.mode, sc.rc, sc.lambda_min
+        spec, rc, lambda_min = sc.spec, sc.rc, sc.lambda_min
     elif path:
-        spec = core.load_spec(path)
-        mode, rc, lambda_min = None, None, None
+        spec, rc, lambda_min = core.load_spec(path), None, None
     else:
         raise core.SpecError("either --scenario or --spec is required")
 
-    mode = getattr(args, "mode", None) or mode or (
-        "mzi" if isinstance(spec.geometry, core.MziGeometry)
-        else "swi_echo" if spec.protocol.echo else "swi_plain")
     if getattr(args, "rc_m", None) is not None:
         rc = args.rc_m
     if rc is None and hasattr(args, "rc_m"):
@@ -111,11 +107,11 @@ def _resolve(args):
     violations = core.validate(spec)
     if violations:
         raise core.SpecError("; ".join(violations))
-    return spec, mode, rc, lambda_min
+    return spec, rc, lambda_min
 
 
 def _cmd_geometry(args):
-    spec, _, _, _ = _resolve(args)
+    spec, _, _ = _resolve(args)
     grid = _parse_grid(args.rc, args.linear)
     if isinstance(spec.geometry, core.MziGeometry):
         overlaps = geometry.overlap_mzi(spec.geometry)
@@ -137,7 +133,7 @@ def _point(args, rc):
 
 
 def _cmd_variance(args):
-    spec, _, rc, _ = _resolve(args)
+    spec, rc, _ = _resolve(args)
     point = _point(args, rc)
     moments = dynamics.phase_variance(spec, point)
     return {
@@ -149,23 +145,24 @@ def _cmd_variance(args):
 
 
 def _cmd_bound(args):
-    spec, mode, rc, _ = _resolve(args)
-    lam = inference.lambda_bound(spec, rc, mode, fp_cap_one=args.fp_cap_one)
-    return {"lambda_bound_hz": lam, "rc_m": rc, "mode": mode}
+    spec, rc, _ = _resolve(args)
+    lam = inference.lambda_bound(spec, rc, spec.mode,
+                                 fp_cap_one=args.fp_cap_one)
+    return {"lambda_bound_hz": lam, "rc_m": rc, "mode": spec.mode}
 
 
 def _cmd_curve(args):
-    spec, mode, _, _ = _resolve(args)
+    spec, _, _ = _resolve(args)
     grid = _parse_grid(args.rc, args.linear)
-    curve = inference.exclusion_curve(spec, mode, grid,
+    curve = inference.exclusion_curve(spec, spec.mode, grid,
                                       fp_cap_one=args.fp_cap_one)
     return (list(zip(curve.rc.tolist(), curve.lambda_bound.tolist())),
             ["rc_m", "lambda_bound_hz"])
 
 
 def _cmd_repetitions(args):
-    spec, mode, rc, lambda_min = _resolve(args)
-    est = inference.repetitions(spec, rc, mode, lambda_min=lambda_min,
+    spec, rc, lambda_min = _resolve(args)
+    est = inference.repetitions(spec, rc, spec.mode, lambda_min=lambda_min,
                                 delta=args.delta, fp_cap_one=args.fp_cap_one)
     return {
         "fisher_info": est.fisher_info,
@@ -173,7 +170,7 @@ def _cmd_repetitions(args):
         "k_1_5": est.k_inflated,
         "delta": est.delta,
         "lambda_min_hz": est.lambda_min,
-        "mode": mode,
+        "mode": spec.mode,
         "rc_m": rc,
     }
 
@@ -188,7 +185,7 @@ def _cmd_table1(args):
 
 
 def _cmd_simulate(args):
-    spec, _, rc, _ = _resolve(args)
+    spec, rc, _ = _resolve(args)
     point = _point(args, rc)
     analytic = dynamics.phase_variance(spec, point).variance
     mc = oracles.sde_sample(spec, point, n_traj=args.n_traj,
@@ -203,7 +200,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_calibrate(args):
-    spec, mode, rc, lambda_min = _resolve(args)
+    spec, rc, lambda_min = _resolve(args)
     if lambda_min is None:
         raise core.SpecError(
             "calibrate requires --lambda-min-hz (or a scenario)")
@@ -211,13 +208,13 @@ def _cmd_calibrate(args):
     k = args.k
     if k is None:
         # only k sizes the run, so only k may refuse it
-        split = inference.variance_split(spec, rc, mode,
+        split = inference.variance_split(spec, rc, spec.mode,
                                          fp_cap_one=args.fp_cap_one)
         core._check_positive("delta", args.delta)
         k = inference._repetition_count("k", split.sigma_conv_sq, split,
                                         lambda_min, args.delta)
     res = inference.calibrate_estimator(
-        spec, rc, mode, lambda_true=lambda_min, k=k, seed=args.seed,
+        spec, rc, spec.mode, lambda_true=lambda_min, k=k, seed=args.seed,
         n_meta=args.n_meta, fp_cap_one=args.fp_cap_one)
     return {
         "lambda_hat_mean_hz": res.lambda_hat_mean,
@@ -262,8 +259,7 @@ def _build_parser():
         p.add_argument("--rc", required=True, help="grid as min:max:points")
         p.add_argument("--linear", action="store_true")
 
-    def add_mode(p):
-        p.add_argument("--mode", choices=inference.MODES)
+    def add_cap(p):
         p.add_argument("--fp-cap-one", action="store_true",
                        help="set f_P = 1 (MZI plateau value)")
 
@@ -288,12 +284,12 @@ def _build_parser():
     command("variance", _cmd_variance, "forward phase variance at a point",
             add_common, add_point)
     command("bound", _cmd_bound, "exclusion bound lambda(rc)",
-            add_common, add_rc, add_mode)
+            add_common, add_rc, add_cap)
     command("curve", _cmd_curve, "exclusion curve over an rc grid",
-            add_common, add_mode, add_grid)
+            add_common, add_cap, add_grid)
     command("repetitions", _cmd_repetitions,
             "required measurement repetitions",
-            add_common, add_rc, add_mode, add_delta, add_lambda_min)
+            add_common, add_rc, add_cap, add_delta, add_lambda_min)
     p = command("table1", _cmd_table1, "repetition counts for all scenarios",
                 add_delta)
     p.add_argument("--no-fp-cap", action="store_true",
@@ -305,7 +301,7 @@ def _build_parser():
     p.add_argument("--n-steps", type=int, default=10_000)
     p = command("calibrate", _cmd_calibrate,
                 "Monte Carlo estimator calibration",
-                add_common, add_rc, add_mode, add_lambda_min, add_seed)
+                add_common, add_rc, add_cap, add_lambda_min, add_seed)
     size = p.add_mutually_exclusive_group()
     size.add_argument("--k", type=int)
     add_delta(size)

@@ -159,6 +159,14 @@ class ExperimentSpec:
     def sigma_phi0_sq(self) -> float:
         return self.state.xi0 ** 2 / self.state.n_atoms
 
+    @property
+    def mode(self) -> str:
+        """Inference mode of the protocol that produced xi_t: "mzi" for an
+        MZI geometry, else "swi_echo" or "swi_plain" by ``protocol.echo``."""
+        if isinstance(self.geometry, MziGeometry):
+            return "mzi"
+        return "swi_echo" if self.protocol.echo else "swi_plain"
+
 
 def _check_seed(seed) -> None:
     """Reject a Monte Carlo seed outside the uint64 range of a Philox key."""
@@ -282,7 +290,10 @@ def validate(spec: ExperimentSpec) -> list:
         v.append(f"state.xi0 = {s.xi0!r} is too small: the default "
                  "state.sigma_n0 = sqrt(N)/xi0 overflows")
     if p.echo and p.zeta == 0:
-        warnings.warn("echo protocol with zeta = 0 has no effect", stacklevel=2)
+        warnings.warn("echo protocol with zeta = 0 " + (
+            "has no effect" if isinstance(g, MziGeometry) else
+            "leaves the swi_echo bound no slope in lambda: it drops f_P, "
+            "and no dispersion amplifies f_S"), stacklevel=2)
     if spec.xi_t is not None and spec.xi_t < s.xi0:
         v.append("xi_t < xi0: observed narrowing is unphysical")
     return v

@@ -3,22 +3,23 @@
 The forward model is linear in the collapse rate,
 sigma_phi^2(t) = sigma_conv^2(t) + alpha_csl^2(t) * lambda, so bound
 extraction is a one-line inversion and the Fisher information of the
-Gaussian count distribution has a closed form.  ``_model`` reads both
-terms off the propagator of :mod:`cslbec.dynamics` and is the one place
-that reads the mode and the f_P = 1 plateau cap; everything else calls
-it.  Only the slope's geometry factors and one linear combination run
-on an r_C array.
+Gaussian count distribution has a closed form.  A bound assumes the
+protocol that produced xi_t, so ``mode`` is always ``spec.mode``.
+``_model`` reads both terms off the propagator of the spec's protocol and
+is the one place that reads the mode and the f_P = 1 plateau cap.  Only
+the slope's geometry factors and one linear combination run on an r_C
+array.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExperimentSpec, MziGeometry, _check_positive, _check_seed
+from .core import ExperimentSpec, _check_positive, _check_seed
 from .dynamics import (_square, collapse_part, collapse_rates,
                        propagator_parts)
 from . import geometry
@@ -76,20 +77,15 @@ def _model(spec: ExperimentSpec, mode: str, fp_cap_one: bool):
     """(sigma_conv^2, slope): the intercept, and alpha_csl^2 as a function
     of r_C that returns an array of at least one dimension.
 
-    ``propagator_parts`` runs once, with the protocol the mode names (two
-    legs for ``swi_echo``).  The slope evaluates only the factors the mode
-    reads; the echo mode drops dephasing (f_P = 0) to stay conservative.
+    ``mode`` must be ``spec.mode``: ``propagator_parts`` runs once, with
+    the spec's own protocol (two legs for an echo).  The slope evaluates
+    only the factors the mode reads; the echo mode drops dephasing
+    (f_P = 0) to stay conservative.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+    if mode != spec.mode:
+        raise ValueError(f"mode {mode!r} is not the spec's mode "
+                         f"{spec.mode!r}, set by its geometry and echo")
     g = spec.geometry
-    if (mode == "mzi") != isinstance(g, MziGeometry):
-        want, got = ("MZI", "SWI") if mode == "mzi" else ("SWI", "MZI")
-        raise ValueError(f"mode {mode!r} requires an {want} geometry, "
-                         f"got an {got} geometry")
-    echo = mode == "swi_echo"
-    if spec.protocol.echo != echo:
-        spec = replace(spec, protocol=replace(spec.protocol, echo=echo))
     initial, unit_p, unit_s = propagator_parts(spec)
 
     if mode == "swi_plain" and not fp_cap_one:
@@ -103,7 +99,7 @@ def _model(spec: ExperimentSpec, mode: str, fp_cap_one: bool):
         def factors(rc):
             return geometry._mzi_f_p(g, geometry._checked_rc(rc) ** 2), 0.0
     else:
-        f_p = 0.0 if echo else 1.0
+        f_p = 0.0 if mode == "swi_echo" else 1.0
 
         def factors(rc):
             return f_p, geometry._swi_f_s(g, geometry._checked_rc(rc) ** 2)
@@ -120,8 +116,7 @@ def variance_split(spec: ExperimentSpec, rc, mode: str,
     """Split the phase variance into conventional and collapse terms.
 
     ``rc`` may be an array: the slope has its shape, and a scalar ``rc``
-    gives a float.  The SWI modes need an SWI geometry, since MZI modes do
-    not overlap, and ``mzi`` needs an MZI geometry.
+    gives a float.  ``mode`` must be ``spec.mode``.
     """
     sigma_conv_sq, slope = _model(spec, mode, fp_cap_one)
     alpha_csl_sq = slope(rc)
@@ -174,9 +169,9 @@ def exclusion_curve(spec: ExperimentSpec, mode: str, rc_grid,
 
     NaN marks exactly the points where ``lambda_bound`` raises: a negative
     excess variance, a zero slope or a bound past the float range.  A grid
-    that is not 1-D, an r_C outside (0, 6.7e153 m], a bad mode or a spec
-    without xi_t raises for the whole grid.  A negative (or NaN) excess
-    gives all NaN without a geometry factor.
+    that is not 1-D, an r_C outside (0, 6.7e153 m], a mode other than
+    ``spec.mode`` or a spec without xi_t raises for the whole grid.  A
+    negative (or NaN) excess gives all NaN without a geometry factor.
     """
     rc_grid = np.asarray(rc_grid, dtype=float)
     if rc_grid.ndim != 1:

@@ -259,7 +259,12 @@ def spin_operators(n_atoms: int):
 
 def coherent_spin_state(n_atoms: int, theta: float = math.pi / 2.0,
                         phi: float = 0.0) -> DickeState:
-    """Coherent spin state |theta, phi>; the default points along +x."""
+    """Coherent spin state |theta, phi>, theta in [0, pi]; the default
+    points along +x."""
+    if not 0.0 <= theta <= math.pi:
+        raise ValueError(f"theta must be in [0, pi], got {theta!r}")
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi!r}")
     j = n_atoms / 2.0
     m = np.arange(-j, j + 1)
     log_binom = np.array([
@@ -267,7 +272,8 @@ def coherent_spin_state(n_atoms: int, theta: float = math.pi / 2.0,
                - math.lgamma(j - mk + 1))
         for mk in m
     ])
-    # log-domain binomial amplitudes keep N ~ 200 well-conditioned
+    # log-domain binomial amplitudes keep N ~ 200 well-conditioned; the
+    # clamps guard log(0) at the poles alone
     amp = np.exp(
         log_binom
         + (j + m) * math.log(max(math.cos(theta / 2.0), 1e-300))

@@ -1,8 +1,8 @@
 """Built-in scenario registry for one-command reproduction.
 
 Four proposal scenarios (two Mach-Zehnder, two single-well), one row
-each, with their working localization length, target rate lambda_min and
-inference mode.
+each, with their working localization length and target rate lambda_min.
+Each row's inference mode is its spec's own.
 """
 
 from __future__ import annotations
@@ -26,9 +26,12 @@ __all__ = ["Scenario", "SCENARIOS"]
 @dataclass(frozen=True)
 class Scenario:
     spec: ExperimentSpec
-    mode: str          # inference mode: mzi | swi_plain | swi_echo
     rc: float          # working localization length, m
     lambda_min: float  # Hz
+
+    @property
+    def mode(self) -> str:
+        return self.spec.mode
 
 
 # Both Mach-Zehnder scenarios share one geometry.  For each single well
@@ -43,25 +46,23 @@ SCENARIOS = {
         spec=ExperimentSpec(species=RUBIDIUM_87, geometry=_MZI_GEOMETRY,
                             state=InitialState(n_atoms=300_000, xi0=0.9),
                             protocol=Protocol(t=0.8), xi_t=1.1),
-        mode="mzi", rc=1e-6, lambda_min=1e-10),
+        rc=1e-6, lambda_min=1e-10),
     "rb-swi": Scenario(
         spec=ExperimentSpec(species=RUBIDIUM_87,
                             geometry=SwiGeometry(x0=_X0_PLAIN),
                             state=InitialState(n_atoms=300_000, xi0=5.0),
                             protocol=Protocol(t=0.5, zeta=6e-3), xi_t=200.0),
-        mode="swi_plain", rc=math.sqrt(2.0 / 3.0) * _X0_PLAIN,
-        lambda_min=1e-10),
+        rc=math.sqrt(2.0 / 3.0) * _X0_PLAIN, lambda_min=1e-10),
     "cs-mzi": Scenario(
         spec=ExperimentSpec(species=CESIUM_133, geometry=_MZI_GEOMETRY,
                             state=InitialState(n_atoms=1_000_000_000, xi0=0.3),
                             protocol=Protocol(t=20.0), xi_t=1.3 * 0.3),
-        mode="mzi", rc=1e-6, lambda_min=1e-16),
+        rc=1e-6, lambda_min=1e-16),
     "rb-swi-echo": Scenario(
         spec=ExperimentSpec(species=RUBIDIUM_87,
                             geometry=SwiGeometry(x0=_X0_ECHO),
                             state=InitialState(n_atoms=50_000, xi0=1.0),
                             protocol=Protocol(t=0.2, zeta=4.0, echo=True),
                             xi_t=1.15),
-        mode="swi_echo", rc=math.sqrt(2.0 / 3.0) * _X0_ECHO,
-        lambda_min=1e-16),
+        rc=math.sqrt(2.0 / 3.0) * _X0_ECHO, lambda_min=1e-16),
 }

@@ -41,6 +41,16 @@ def parse_csv(text):
     return rows[0], rows[1:]
 
 
+def write_spec(tmp_path, mutate=None, scenario="rb-mzi"):
+    """A scenario's spec, changed by ``mutate``, as a spec file."""
+    d = spec_to_dict(SCENARIOS[scenario].spec)
+    if mutate:
+        mutate(d)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(d))
+    return path
+
+
 class TestScenarios:
     def test_listing(self, capsys):
         code, out, _ = run_capture(capsys, ["scenarios"])
@@ -311,26 +321,21 @@ class TestCalibrate:
         assert payload["k"] > 10 ** 14
         assert payload["relative_spread"] == pytest.approx(0.1, rel=0.5)
 
-    def test_k_just_under_2_53_runs(self, capsys):
+    def test_k_just_under_2_53_runs(self, capsys, tmp_path):
         # here k_1_5, which calibrate never reads, passes 2**53 and k not
+        path = write_spec(tmp_path, lambda d: d["protocol"].update(echo=False),
+                          "rb-swi-echo")
         code, out, err = run_capture(capsys, [
-            "calibrate", "--scenario", "rb-swi-echo", "--mode", "swi_plain",
+            "calibrate", "--spec", str(path),
+            "--rc-m", repr(SCENARIOS["rb-swi-echo"].rc),
             "--lambda-min-hz", "2.4660331623580223e-14", "--n-meta", "50"])
         assert code == 0, err
         assert json.loads(out)["k"] == 4503599627370494
 
 
 class TestSpecFiles:
-    def write_spec(self, tmp_path, mutate=None, scenario="rb-mzi"):
-        d = spec_to_dict(SCENARIOS[scenario].spec)
-        if mutate:
-            mutate(d)
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(d))
-        return path
-
     def test_spec_file_bound(self, capsys, tmp_path):
-        path = self.write_spec(tmp_path)
+        path = write_spec(tmp_path)
         code, out, _ = run_capture(capsys, [
             "bound", "--spec", str(path), "--rc-m", "1e-6", "--fp-cap-one"])
         assert code == 0
@@ -341,7 +346,7 @@ class TestSpecFiles:
         def mutate(d):
             d["geometry"]["w_y_m"] = 3.0 * d["geometry"]["w_x_m"]
 
-        path = self.write_spec(tmp_path, mutate)
+        path = write_spec(tmp_path, mutate)
         code, out, _ = run_capture(capsys, [
             "geometry", "--spec", str(path), "--rc", "1e-9:1e-3:20"])
         assert code == 0
@@ -365,7 +370,7 @@ class TestSpecFiles:
         ["repetitions", "--spec", "{spec}"],
     ])
     def test_bound_past_float_range_exits_3(self, capsys, tmp_path, argv):
-        path = self.write_spec(tmp_path, scenario="rb-swi")
+        path = write_spec(tmp_path, scenario="rb-swi")
         argv = [str(path) if a == "{spec}" else a for a in argv]
         code, out, err = run_capture(capsys, [*argv, "--rc-m", "3e153"])
         assert (code, out) == (3, "")
@@ -376,7 +381,7 @@ class TestSpecFiles:
         def mutate(d):
             d["protocol"]["time"] = d["protocol"].pop("t_s")
 
-        path = self.write_spec(tmp_path, mutate)
+        path = write_spec(tmp_path, mutate)
         code, _, err = run_capture(capsys, [
             "bound", "--spec", str(path), "--rc-m", "1e-6"])
         assert code == 2
@@ -393,7 +398,7 @@ class TestSpecFiles:
         def mutate(d):
             d["state"]["sigma_n0"] = 1e200
 
-        path = self.write_spec(tmp_path, mutate)
+        path = write_spec(tmp_path, mutate)
         code, out, err = run_capture(capsys, [
             "bound", "--spec", str(path), "--rc-m", "1e-6"])
         assert code == 3
@@ -407,7 +412,7 @@ class TestSpecFiles:
             d["state"]["xi0"] = 1e-310
             d["observation"]["xi_t"] = 1.0
 
-        path = self.write_spec(tmp_path, mutate)
+        path = write_spec(tmp_path, mutate)
         code, out, err = run_capture(capsys, [
             "bound", "--spec", str(path), "--rc-m", "1e-6"])
         assert code == 2
@@ -421,17 +426,16 @@ class TestSpecFiles:
         def mutate(d):
             d["observation"]["xi_t"] = 2.0 * math.sqrt(d["state"]["n_atoms"])
 
-        path = self.write_spec(tmp_path, mutate, scenario="rb-swi")
+        path = write_spec(tmp_path, mutate, scenario="rb-swi")
         code, out, err = run_capture(capsys, [
-            "bound", "--spec", str(path), "--rc-m", "1e-7",
-            "--mode", "swi_plain"])
+            "bound", "--spec", str(path), "--rc-m", "1e-7"])
         assert (code, out) == (2, "")
         assert err.startswith("error: xi_t^2/N exceeds pi^2/9")
 
     @pytest.mark.parametrize("scenario", list(SCENARIOS))
     def test_spec_file_derives_the_scenario_mode(self, capsys, tmp_path,
                                                  scenario):
-        path = self.write_spec(tmp_path, scenario=scenario)
+        path = write_spec(tmp_path, scenario=scenario)
         code, from_file, _ = run_capture(capsys, [
             "bound", "--spec", str(path),
             "--rc-m", repr(SCENARIOS[scenario].rc)])
@@ -441,11 +445,29 @@ class TestSpecFiles:
         assert code == 0
         assert from_file == from_name
 
+    # the bound assumes the protocol that produced xi_t: an MZI echo used
+    # to be dropped, which read sigma_conv^2 = 23.7 rad^2 and exited 2
+    @pytest.mark.parametrize("scenario, protocol, mode, bound", [
+        ("rb-mzi", {"zeta_rad_s": 0.01, "echo": True}, "mzi",
+         1.1143171717940525e-10),
+        ("rb-swi", {"echo": True}, "swi_echo", 1.5400538130523437e-09),
+    ], ids=["mzi-echo", "swi-echo"])
+    def test_spec_echo_sets_the_protocol(self, capsys, tmp_path, scenario,
+                                         protocol, mode, bound):
+        path = write_spec(tmp_path, lambda d: d["protocol"].update(protocol),
+                          scenario)
+        code, out, err = run_capture(capsys, [
+            "bound", "--spec", str(path),
+            "--rc-m", repr(SCENARIOS[scenario].rc)])
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["mode"], payload["lambda_bound_hz"]) == (mode, bound)
+
     def test_invalid_physics_is_config_error(self, capsys, tmp_path):
         def mutate(d):
             d["protocol"]["t_s"] = -1.0
 
-        path = self.write_spec(tmp_path, mutate)
+        path = write_spec(tmp_path, mutate)
         code, _, err = run_capture(capsys, [
             "bound", "--spec", str(path), "--rc-m", "1e-6"])
         assert code == 2
@@ -458,7 +480,7 @@ class TestSpecFiles:
         ("epsilon_over_hbar_rad_s", 1e4, "protocol.epsilon_over_hbar")])
     def test_unmodelled_protocol_field_is_config_error(
             self, capsys, tmp_path, scenario, key, value, name):
-        path = self.write_spec(
+        path = write_spec(
             tmp_path, lambda d: d["protocol"].update({key: value}), scenario)
         for command, *point in (("bound",), ("repetitions",),
                                 ("variance", "--lambda-hz", "1e-10")):
@@ -504,26 +526,18 @@ class TestExitCodes:
         with pytest.raises(SystemExit):
             cli.run(["bound", "--scenario", "rb-mzi", "--frobnicate"])
 
-    @pytest.mark.parametrize("mode", ["swi_plain", "swi_echo"])
-    def test_swi_mode_on_mzi_geometry_is_config_error(self, capsys, mode):
-        code, out, err = run_capture(
-            capsys, ["bound", "--scenario", "rb-mzi", "--mode", mode])
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and "SWI geometry" in err
-        assert "Traceback" not in err
-
-    # "mzi" on an SWI spec used to give the swi_plain bound, labelled "mzi"
-    @pytest.mark.parametrize("scenario", ["rb-swi", "rb-swi-echo"])
-    @pytest.mark.parametrize("command", ["bound", "curve", "repetitions"])
-    def test_mzi_mode_on_swi_geometry_is_config_error(self, capsys,
-                                                      scenario, command):
+    # the spec's geometry and echo set the mode: a --mode could only
+    # restate the spec or contradict it
+    @pytest.mark.parametrize("command", ["bound", "curve", "repetitions",
+                                         "calibrate"])
+    def test_mode_flag_is_refused(self, capsys, command):
         grid = ["--rc", "1e-8:1e-6:3"] if command == "curve" else []
-        code, out, err = run_capture(
-            capsys, [command, "--scenario", scenario, "--mode", "mzi", *grid])
-        assert (code, out) == (2, "")
-        assert err == ("error: mode 'mzi' requires an MZI geometry, "
-                       "got an SWI geometry\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.run([command, "--scenario", "rb-swi", "--mode", "swi_plain",
+                     *grid])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert "unrecognized arguments: --mode swi_plain" in err
 
     # table1 used to print its whole table before failing on --csv
     @pytest.mark.parametrize("argv", [["table1", "--csv"],
@@ -554,7 +568,7 @@ class TestExitCodes:
         (["geometry", "--scenario", "rb-mzi", "--rc", "1e-9:inf:4"], 2),
         (["variance", "--scenario", "rb-mzi", "--lambda-hz", "1e308",
           "--rc-m", "1e-6"], 3),
-        (["bound", "--scenario", "rb-swi", "--mode", "mzi"], 2),
+        (["bound", "--scenario", "rb-swi", "--rc-m=-1e-6"], 2),
         (["curve", "--scenario", "rb-mzi", "--rc", "0:1e-5:10"], 2),
         (["repetitions", "--scenario", "rb-mzi",
           "--lambda-min-hz", "1e-320"], 3),
@@ -670,10 +684,14 @@ class TestExitCodes:
             "numerical failure: repetition count k overflows")
 
     @pytest.mark.parametrize("command", ["repetitions", "calibrate"])
-    def test_inexact_repetition_count_is_named(self, capsys, command):
+    def test_inexact_repetition_count_is_named(self, capsys, tmp_path,
+                                               command):
         # k is about 2.7e26 here: past 2**53 its low digits were noise
+        path = write_spec(tmp_path, lambda d: d["protocol"].update(echo=False),
+                          "rb-swi-echo")
         code, out, err = run_capture(capsys, [
-            command, "--scenario", "rb-swi-echo", "--mode", "swi_plain",
+            command, "--spec", str(path),
+            "--rc-m", repr(SCENARIOS["rb-swi-echo"].rc),
             "--lambda-min-hz", "1e-19"])
         assert code == 3
         assert out == ""
@@ -815,7 +833,7 @@ class TestOptionsAreRead:
     def test_option_count(self):
         subs = subcommands()
         assert sorted(subs) == sorted(MINIMAL_ARGV)
-        assert sum(len(dests(p)) for p in subs.values()) == 54
+        assert sum(len(dests(p)) for p in subs.values()) == 50
 
     @pytest.mark.parametrize("command", sorted(MINIMAL_ARGV))
     def test_handler_reads_every_option(self, capsys, tmp_path, command):

@@ -137,6 +137,27 @@ class TestValidate:
         with pytest.warns(UserWarning, match="echo"):
             validate(make_spec(protocol=Protocol(t=1.0, echo=True)))
 
+    @pytest.mark.parametrize("geometry, echo, mode", [
+        (MziGeometry(delta_x=10e-6, w_x=100e-9), False, "mzi"),
+        (MziGeometry(delta_x=10e-6, w_x=100e-9), True, "mzi"),
+        (SwiGeometry(x0=100e-9), False, "swi_plain"),
+        (SwiGeometry(x0=100e-9), True, "swi_echo")])
+    def test_mode_follows_geometry_and_echo(self, geometry, echo, mode):
+        spec = make_spec(geometry=geometry,
+                         protocol=Protocol(t=1.0, zeta=4.0, echo=echo))
+        assert spec.mode == mode
+
+    def test_swi_echo_without_zeta_warns_of_no_slope(self):
+        # a single well's echo selects swi_echo, which drops f_P
+        spec = make_spec(geometry=SwiGeometry(x0=100e-9),
+                         protocol=Protocol(t=1.0, echo=True))
+        assert spec.mode == "swi_echo"
+        with pytest.warns(UserWarning, match=(
+                r"^echo protocol with zeta = 0 leaves the swi_echo bound no "
+                r"slope in lambda: it drops f_P, and no dispersion "
+                r"amplifies f_S$")):
+            assert validate(spec) == []
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", sorted(NONFINITE_SPECS))
     def test_nonfinite_field(self, name, value):
@@ -290,17 +311,20 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 def specs(draw):
     """Dataclass specs over every field's range; validate may reject some.
 
-    xi_t is drawn mostly at or below the narrow-phase limit pi/3 sqrt(N),
-    so that enough specs are valid, and now and then anywhere above xi0.
+    Three specs in four draw xi0 and xi_t (at least xi0) at or below the
+    narrow-phase limit pi/3 sqrt(N), so that enough specs are valid; the
+    fourth draws both anywhere, so that validate's refusal is met too.
     """
-    xi0 = draw(POSITIVE)
+    n_atoms = draw(st.integers(2, 2 ** 53))
+    narrow = draw(st.integers(0, 3)) > 0
+    xi_max = math.pi / 3.0 * math.sqrt(n_atoms) if narrow else None
+    xi0 = draw(st.floats(0.0, xi_max, exclude_min=True,
+                         allow_infinity=False))
     species = Species(draw(st.text(max_size=8)), draw(POSITIVE))
     geometry = draw(
         st.builds(MziGeometry, POSITIVE, POSITIVE, st.none() | POSITIVE)
         | st.builds(SwiGeometry, POSITIVE, st.none() | POSITIVE))
-    state = InitialState(draw(st.integers(2, 2 ** 53)), xi0,
-                         draw(st.none() | NONNEGATIVE))
-    xi_t_max = max(xi0, math.pi / 3.0 * math.sqrt(state.n_atoms))
+    state = InitialState(n_atoms, xi0, draw(st.none() | NONNEGATIVE))
     return ExperimentSpec(
         species=species,
         geometry=geometry,
@@ -308,8 +332,7 @@ def specs(draw):
         protocol=Protocol(draw(POSITIVE), draw(FINITE), draw(st.booleans()),
                           draw(FINITE)),
         noise=NoiseModel(draw(NONNEGATIVE)),
-        xi_t=draw(st.none() | st.floats(xi0, xi_t_max)
-                  | st.floats(min_value=xi0, allow_infinity=False)),
+        xi_t=draw(st.none() | st.floats(xi0, xi_max, allow_infinity=False)),
     )
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -43,6 +44,16 @@ SCENARIO_MODES = [(name, mode) for name, sc in sorted(SCENARIOS.items())
                   for mode in (("mzi",) if sc.mode == "mzi"
                                else ("swi_plain", "swi_echo"))]
 
+
+def scenario_spec(name, mode):
+    """Scenario ``name``'s spec run with the protocol ``mode`` names: a
+    single well's echo flag, which sets its mode, follows ``mode``."""
+    spec = SCENARIOS[name].spec
+    if mode == "mzi":
+        return spec
+    echo = mode == "swi_echo"
+    return replace(spec, protocol=replace(spec.protocol, echo=echo))
+
 PAPER_K = {"rb-mzi": 2086, "rb-swi": 3381, "cs-mzi": 1033,
            "rb-swi-echo": 3065}
 PAPER_K15 = {"rb-mzi": 3775, "rb-swi": 6423, "cs-mzi": 1692,
@@ -54,9 +65,11 @@ def random_spec(rng, mode):
     xi0 = float(rng.uniform(0.5, 2.0))
     t = float(rng.uniform(0.1, 2.0))
     if mode == "mzi":
+        # an MZI spec may carry dispersion and an echo: its mode is "mzi"
         geometry = MziGeometry(delta_x=float(rng.uniform(5e-6, 2e-5)),
                                w_x=float(rng.uniform(5e-8, 3e-7)))
-        zeta, echo = 0.0, False
+        zeta = float(rng.choice([0.0, rng.uniform(1e-6, 1e-2)]))
+        echo = bool(rng.integers(2))
     else:
         geometry = SwiGeometry(x0=float(rng.uniform(5e-8, 1e-6)))
         zeta = float(rng.uniform(1e-4, 1e-2))
@@ -121,14 +134,14 @@ class TestVarianceSplit:
     def test_slope_has_the_shape_of_rc(self, name, mode, fp_cap_one):
         # constant factors (capped MZI: f_P = 1, f_S = 0) still give a
         # slope per r_C, and a scalar r_C gives Python floats
-        sc = SCENARIOS[name]
+        sc, spec = SCENARIOS[name], scenario_spec(name, mode)
         for grid in (np.geomspace(1e-9, 1e-3, 6),
                      np.geomspace(1e-9, 1e-3, 6).reshape(2, 3)):
-            slope = variance_split(sc.spec, grid, mode,
+            slope = variance_split(spec, grid, mode,
                                    fp_cap_one=fp_cap_one).alpha_csl_sq
             assert isinstance(slope, np.ndarray)
             assert (slope.dtype, slope.shape) == (np.float64, grid.shape)
-            pointwise = [variance_split(sc.spec, float(rc), mode,
+            pointwise = [variance_split(spec, float(rc), mode,
                                         fp_cap_one=fp_cap_one).alpha_csl_sq
                          for rc in grid.ravel()]
             assert all(type(a) is float for a in pointwise)
@@ -141,11 +154,43 @@ class TestVarianceSplit:
         with pytest.raises(ValueError, match="mode"):
             variance_split(RB_MZI.spec, 1e-6, "ramsey")
 
-    @pytest.mark.parametrize("sc", [RB_SWI, RB_ECHO], ids=["plain", "echo"])
-    def test_mzi_mode_needs_mzi_geometry(self, sc):
-        with pytest.raises(ValueError, match="mode 'mzi' requires an MZI "
-                                             "geometry, got an SWI geometry"):
-            variance_split(sc.spec, sc.rc, "mzi")
+    @pytest.mark.parametrize("name, spec_mode", SCENARIO_MODES)
+    def test_mode_other_than_the_specs_is_refused(self, name, spec_mode):
+        # the bound assumes the protocol that produced xi_t: a mode may not
+        # restate the spec's geometry or echo differently
+        spec, rc = scenario_spec(name, spec_mode), SCENARIOS[name].rc
+        assert spec.mode == spec_mode
+        for mode in set(MODES) - {spec_mode}:
+            for call in (lambda: variance_split(spec, rc, mode),
+                         lambda: lambda_bound(spec, rc, mode),
+                         lambda: exclusion_curve(spec, mode, [rc]),
+                         lambda: repetitions(spec, rc, mode, lambda_min=1.0),
+                         lambda: calibrate_estimator(spec, rc, mode, 1.0,
+                                                     200, seed=1)):
+                with pytest.raises(ValueError, match=(
+                        f"^mode '{mode}' is not the spec's mode "
+                        f"'{spec_mode}'")):
+                    call()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_intercept_and_slope_match_forward_model(self, mode):
+        # the inference evaluates the spec's own protocol, echo included:
+        # its intercept is the forward model's at lambda = 0, bit for bit,
+        # and where it keeps f_P its slope is the forward model's
+        rng = np.random.default_rng([11, MODES.index(mode)])
+        for _ in range(100):
+            spec = random_spec(rng, mode)
+            rc = float(rng.uniform(3e-8, 3e-6))
+            split = variance_split(spec, rc, spec.mode)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # sigma_phi past pi/3
+                conv = phase_variance(spec, CslPoint(0.0, rc)).variance
+                lam = conv / split.alpha_csl_sq  # doubles the variance
+                forward = phase_variance(spec, CslPoint(lam, rc)).variance
+            assert split.sigma_conv_sq == conv
+            if mode != "swi_echo":
+                assert (forward - conv) / lam == pytest.approx(
+                    split.alpha_csl_sq, rel=1e-12, abs=0)
 
 
 class TestLambdaBound:
@@ -214,8 +259,10 @@ class TestLambdaBound:
             t = spec.protocol.t
             zeta = spec.protocol.zeta
             m_sq = spec.species.mass_u ** 2
-            excess = spec.xi_t ** 2 - spec.state.xi0 ** 2 \
-                - zeta ** 2 * t ** 2 * n * spec.state.sigma_n0 ** 2
+            # the echo cancels the dispersion broadening of sigma_conv
+            dispersion = 0.0 if spec.protocol.echo else \
+                zeta ** 2 * t ** 2 * n * spec.state.sigma_n0 ** 2
+            excess = spec.xi_t ** 2 - spec.state.xi0 ** 2 - dispersion
             if mode == "mzi":
                 expected = excess / (2.0 * n * t * m_sq * f.f_p)
             elif mode == "swi_plain":
@@ -295,13 +342,13 @@ class TestExclusionCurve:
         grid = np.concatenate([np.geomspace(1e-200, 6e153, 1001),
                                np.geomspace(1e-163, 1e-161, 41),
                                np.geomspace(1e153, 6e153, 41)])
-        bounds = self.assert_matches_pointwise(SCENARIOS[name].spec, mode,
-                                               grid, fp_cap_one)
+        spec = scenario_spec(name, mode)
+        bounds = self.assert_matches_pointwise(spec, mode, grid, fp_cap_one)
         assert not np.isinf(bounds).any()
         if name == "rb-swi" and not (mode == "swi_plain" and fp_cap_one):
             # the slope falls off as f_S ~ x0^2/rc^2 unless f_P = 1 holds it
             with pytest.raises(OverflowError, match="lambda_bound overflows"):
-                lambda_bound(SCENARIOS[name].spec, 6e153, mode,
+                lambda_bound(spec, 6e153, mode,
                              fp_cap_one=fp_cap_one)
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -368,8 +415,8 @@ class TestExclusionCurve:
     def test_negative_excess_evaluates_no_factor(self, monkeypatch, name,
                                                  mode, fp_cap_one):
         calls = self.count_factor_formulas(monkeypatch)
-        narrow = replace(SCENARIOS[name].spec,
-                         xi_t=0.9 * SCENARIOS[name].spec.state.xi0)
+        spec = scenario_spec(name, mode)
+        narrow = replace(spec, xi_t=0.9 * spec.state.xi0)
         grid = np.geomspace(1e-9, 1e-3, 2 * inference._BLOCK + 1)
         curve = exclusion_curve(narrow, mode, grid, fp_cap_one=fp_cap_one)
         assert np.isnan(curve.lambda_bound).all()

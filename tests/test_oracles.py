@@ -372,6 +372,27 @@ class TestCoherentSpinState:
     def test_is_valid_state(self):
         coherent_spin_state(150).check()
 
+    @pytest.mark.parametrize("theta", [0.0, 1.2, math.pi / 2.0, 2.5, math.pi])
+    def test_polar_angle_over_its_whole_range(self, theta):
+        # <J_z> = j cos(theta), <J_x> = j sin(theta) at phi = 0, poles too
+        n = 20
+        rho = coherent_spin_state(n, theta=theta).rho
+        jx, _, jz = spin_operators(n)
+        assert np.real(np.trace(jz @ rho)) == pytest.approx(
+            n / 2.0 * math.cos(theta), abs=1e-12)
+        assert np.real(np.trace(jx @ rho)) == pytest.approx(
+            n / 2.0 * math.sin(theta), abs=1e-12)
+
+    # a negative cos or sin of theta/2 used to be clamped: theta = 4.0 gave
+    # the pole <J_z> = -N/2, and a NaN angle a NaN rho, with no error
+    @pytest.mark.parametrize("theta, phi, name", [
+        (4.0, 0.0, "theta"), (-1.2, 0.0, "theta"), (math.nan, 0.0, "theta"),
+        (math.inf, 0.0, "theta"), (1.2, math.nan, "phi"),
+        (1.2, -math.inf, "phi")])
+    def test_angle_outside_its_range_is_refused(self, theta, phi, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            coherent_spin_state(20, theta=theta, phi=phi)
+
     def test_projection_noise(self):
         # sigma_phi^2 = 1/N for the coherent state
         pm = dicke_phase_variance(coherent_spin_state(100))
