@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import numbers
 import os
 import warnings
 from dataclasses import dataclass
@@ -239,6 +240,13 @@ class DickeState:
         return trace_error, min_eig
 
 
+def _check_n_atoms(n_atoms) -> None:
+    """Reject an atom number that is not an int >= 1 (a bool is not)."""
+    if (isinstance(n_atoms, bool) or not isinstance(n_atoms, numbers.Integral)
+            or n_atoms < 1):
+        raise ValueError(f"n_atoms must be an int >= 1, got {n_atoms!r}")
+
+
 def _spin_bands(n_atoms: int):
     """J_z diagonal m = -J..J and J_+ sub-diagonal sqrt(j(j+1) - m(m+1))."""
     j = n_atoms / 2.0
@@ -261,6 +269,7 @@ def coherent_spin_state(n_atoms: int, theta: float = math.pi / 2.0,
                         phi: float = 0.0) -> DickeState:
     """Coherent spin state |theta, phi>, theta in [0, pi]; the default
     points along +x."""
+    _check_n_atoms(n_atoms)
     if not 0.0 <= theta <= math.pi:
         raise ValueError(f"theta must be in [0, pi], got {theta!r}")
     if not math.isfinite(phi):
@@ -403,16 +412,25 @@ def dicke_evolve(n_atoms: int, r: Rates, zeta: float,
     roughly 0.5.  For stability the J_x double commutator, whose spectral
     radius is Gamma_S N^2 / 2, needs Gamma_S * N^2 * dt / 2 <~ 2.8 (RK4's
     real stability limit); past it ``DickeState.check`` raises a
-    FloatingPointError.  Dephasing sets no step limit.
+    FloatingPointError.  Dephasing sets no step limit.  A non-finite
+    argument, a negative t or a negative rate raises a ValueError that
+    names it.
     """
+    _check_n_atoms(n_atoms)
     if n_atoms > 200:
         raise ValueError("Dicke oracle limited to N <= 200")
     if initial.n_atoms != n_atoms:
         raise ValueError(
             f"initial state has n_atoms = {initial.n_atoms}, but "
             f"n_atoms = {n_atoms} was asked for")
-    if r.gamma_p < 0 or r.gamma_s < 0:
-        raise ValueError("rates must be nonnegative")
+    for name, value in (("zeta", zeta),
+                        ("epsilon_over_hbar", epsilon_over_hbar)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    for name, value in (("t", t), ("r.gamma_p", r.gamma_p),
+                        ("r.gamma_s", r.gamma_s)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
     legs = Protocol(t=t, zeta=zeta, echo=echo).legs(n_steps)
 
     mz, cp = _spin_bands(n_atoms)

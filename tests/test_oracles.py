@@ -3,6 +3,7 @@ import fractions
 import json
 import math
 import os
+import re
 import sys
 import threading
 import warnings
@@ -393,6 +394,17 @@ class TestCoherentSpinState:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             coherent_spin_state(20, theta=theta, phi=phi)
 
+    # a float, negative or bool atom number used to give a state of the
+    # wrong size: 4x4 for 2.5, 0x0 for -1 and 2x2 for True
+    @pytest.mark.parametrize("n_atoms", [2.5, -1, 0, True, 4.0])
+    def test_atom_number_must_be_a_positive_int(self, n_atoms):
+        with pytest.raises(ValueError, match="^n_atoms must be an int >= 1"):
+            coherent_spin_state(n_atoms)
+
+    def test_numpy_integer_atom_number_is_accepted(self):
+        assert np.array_equal(coherent_spin_state(np.int64(6)).rho,
+                              coherent_spin_state(6).rho)
+
     def test_projection_noise(self):
         # sigma_phi^2 = 1/N for the coherent state
         pm = dicke_phase_variance(coherent_spin_state(100))
@@ -543,6 +555,25 @@ class TestDickeEvolve:
         with pytest.raises(ValueError, match="n_atoms = 10.*n_atoms = 40"):
             dicke_evolve(40, Rates(0.0, 0.0), 0.0, 0.0,
                          coherent_spin_state(10), 1.0, 1000)
+
+    # these used to reach the integrator and fail as a PositivityError
+    # (t < 0) or as a FloatingPointError asking for more steps
+    @pytest.mark.parametrize("name, changes", [
+        ("t", {"t": -1.0}), ("t", {"t": math.nan}), ("t", {"t": math.inf}),
+        ("zeta", {"zeta": math.nan}), ("zeta", {"zeta": -math.inf}),
+        ("epsilon_over_hbar", {"epsilon_over_hbar": math.inf}),
+        ("r.gamma_p", {"r": Rates(math.nan, 0.1)}),
+        ("r.gamma_p", {"r": Rates(math.inf, 0.1)}),
+        ("r.gamma_p", {"r": Rates(-0.1, 0.1)}),
+        ("r.gamma_s", {"r": Rates(0.1, math.nan)}),
+        ("n_atoms", {"n_atoms": True})])
+    def test_bad_argument_is_named(self, name, changes):
+        args = dict(n_atoms=4, r=Rates(0.1, 0.1), zeta=0.0,
+                    epsilon_over_hbar=0.0, initial=coherent_spin_state(4),
+                    t=1.0, n_steps=10)
+        args.update(changes)
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be"):
+            dicke_evolve(**args)
 
     def test_echo_leg_without_steps_is_named(self):
         with pytest.raises(ValueError, match="n_steps = 1 leaves"):
