@@ -56,8 +56,7 @@ class CslPoint:
     rc: float   # localization length, m
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
+        _check_nonnegative("lam", self.lam)
         _check_positive("rc", self.rc)
 
 
@@ -168,9 +167,16 @@ class ExperimentSpec:
         return "swi_echo" if self.protocol.echo else "swi_plain"
 
 
+def _check_count(name: str, value, minimum: int) -> None:
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < minimum):
+        raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
+
+
 def _check_seed(seed) -> None:
-    """Reject a Monte Carlo seed outside the uint64 range of a Philox key."""
-    if not isinstance(seed, numbers.Integral) or not 0 <= seed < 2 ** 64:
+    """Reject a seed outside the uint64 range of a Philox key, or a bool."""
+    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+            or not 0 <= seed < 2 ** 64):
         raise ValueError(
             f"seed must be an integer in [0, 2**64), got {seed!r}")
 
@@ -178,6 +184,11 @@ def _check_seed(seed) -> None:
 def _check_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def _check_nonnegative(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 # --- JSON schema ------------------------------------------------------------

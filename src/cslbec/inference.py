@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExperimentSpec, _check_positive, _check_seed
+from .core import (ExperimentSpec, _check_count, _check_nonnegative,
+                   _check_positive, _check_seed)
 from .dynamics import (_square, collapse_part, collapse_rates,
                        propagator_parts)
 from . import geometry
@@ -282,17 +283,15 @@ def calibrate_estimator(spec: ExperimentSpec, rc: float, mode: str,
     k stops below about 4e25, where that law's relative spread
     sqrt(2/(k-1)) would fall under 1e3 float epsilons and the spread left
     would be float rounding, not the estimator's.  lambda_true must be
-    finite and >= 0.
+    finite and >= 0; k and n_meta (>= 2) must be ints, and a bool is not.
     """
-    if not (math.isfinite(lambda_true) and lambda_true >= 0):
-        raise ValueError(
-            f"lambda_true must be finite and >= 0, got {lambda_true!r}")
+    _check_nonnegative("lambda_true", lambda_true)
     if not (k >= 100 and math.sqrt(2 / (k - 1)) >= _MIN_CHI2_SPREAD):
         raise ValueError(
             "k must be >= 100 and below about 4e25, where the chi^2 "
             f"spread sqrt(2/(k-1)) reaches 1e3 float epsilons; got k = {k!r}")
-    if n_meta < 2:
-        raise ValueError(f"n_meta must be >= 2 for a spread, got {n_meta!r}")
+    _check_count("k", k, 100)
+    _check_count("n_meta", n_meta, 2)
     _check_seed(seed)
     split = variance_split(spec, rc, mode, fp_cap_one=fp_cap_one)
     fisher = fisher_information(split, lambda_true)

@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import contextvars
 import math
-import numbers
 import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CslPoint, ExperimentSpec, Protocol, _check_seed
+from .core import (CslPoint, ExperimentSpec, Protocol, _check_count,
+                   _check_nonnegative, _check_seed)
 from .dynamics import PhaseMoments, Rates, rates
 
 __all__ = [
@@ -139,18 +139,15 @@ def sde_sample(spec: ExperimentSpec, point: CslPoint, n_traj: int,
     is bitwise reproducible for a given (seed, n_traj, n_steps) at any
     worker count.
 
-    The drift is linear, so the scheme's variance error has a closed form
-    (``_euler_bias``): a leg of m steps with per-step shear c = zeta tau / m,
-    followed by a tail shear a, adds -D tau c (a + c (3m - 1) / 6), with
-    D = N^2 Gamma_S / 2.  It is reported as ``euler_bias`` and is exactly 0
-    where Gamma_S = 0.  A UserWarning asks for more steps when |bias|
-    exceeds 0.1 ``stderr_variance``, where the bias would begin to show
-    against the sampling error.
+    The drift is linear, so the scheme's variance error has a closed form,
+    reported as ``SdeMoments.euler_bias``; it is exactly 0 where
+    Gamma_S = 0.  A UserWarning asks for more steps when |bias| exceeds
+    0.1 ``stderr_variance``, where the bias would begin to show against
+    the sampling error.  n_traj and n_steps must be ints >= 1000, and a
+    bool is not an int.
     """
-    if n_traj < 1000:
-        raise ValueError("n_traj must be >= 1000")
-    if n_steps < 1000:
-        raise ValueError("n_steps must be >= 1000")
+    _check_count("n_traj", n_traj, 1000)
+    _check_count("n_steps", n_steps, 1000)
     _check_seed(seed)
 
     r = rates(point, spec.species, spec.geometry)
@@ -240,13 +237,6 @@ class DickeState:
         return trace_error, min_eig
 
 
-def _check_n_atoms(n_atoms) -> None:
-    """Reject an atom number that is not an int >= 1 (a bool is not)."""
-    if (isinstance(n_atoms, bool) or not isinstance(n_atoms, numbers.Integral)
-            or n_atoms < 1):
-        raise ValueError(f"n_atoms must be an int >= 1, got {n_atoms!r}")
-
-
 def _spin_bands(n_atoms: int):
     """J_z diagonal m = -J..J and J_+ sub-diagonal sqrt(j(j+1) - m(m+1))."""
     j = n_atoms / 2.0
@@ -269,13 +259,13 @@ def coherent_spin_state(n_atoms: int, theta: float = math.pi / 2.0,
                         phi: float = 0.0) -> DickeState:
     """Coherent spin state |theta, phi>, theta in [0, pi]; the default
     points along +x."""
-    _check_n_atoms(n_atoms)
+    _check_count("n_atoms", n_atoms, 1)
     if not 0.0 <= theta <= math.pi:
         raise ValueError(f"theta must be in [0, pi], got {theta!r}")
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi!r}")
     j = n_atoms / 2.0
-    m = np.arange(-j, j + 1)
+    m, _ = _spin_bands(n_atoms)
     log_binom = np.array([
         0.5 * (math.lgamma(n_atoms + 1) - math.lgamma(j + mk + 1)
                - math.lgamma(j - mk + 1))
@@ -413,10 +403,10 @@ def dicke_evolve(n_atoms: int, r: Rates, zeta: float,
     radius is Gamma_S N^2 / 2, needs Gamma_S * N^2 * dt / 2 <~ 2.8 (RK4's
     real stability limit); past it ``DickeState.check`` raises a
     FloatingPointError.  Dephasing sets no step limit.  A non-finite
-    argument, a negative t or a negative rate raises a ValueError that
-    names it.
+    argument, a negative t or rate, or a count that is not an int >= 1
+    (a bool is not an int) raises a ValueError that names it.
     """
-    _check_n_atoms(n_atoms)
+    _check_count("n_atoms", n_atoms, 1)
     if n_atoms > 200:
         raise ValueError("Dicke oracle limited to N <= 200")
     if initial.n_atoms != n_atoms:
@@ -429,8 +419,8 @@ def dicke_evolve(n_atoms: int, r: Rates, zeta: float,
             raise ValueError(f"{name} must be finite, got {value!r}")
     for name, value in (("t", t), ("r.gamma_p", r.gamma_p),
                         ("r.gamma_s", r.gamma_s)):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        _check_nonnegative(name, value)
+    _check_count("n_steps", n_steps, 1)
     legs = Protocol(t=t, zeta=zeta, echo=echo).legs(n_steps)
 
     mz, cp = _spin_bands(n_atoms)

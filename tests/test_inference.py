@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -647,6 +648,22 @@ class TestCalibrateEstimator:
                                     0.01, k, seed=1)
         calibrate_estimator(self.make_unit_spec(), OPT, "swi_plain", 0.01,
                             4 * 10 ** 25, seed=1)
+
+    # k = 300.5 used to run and report k = 300.5, n_meta = 50.5 failed
+    # inside numpy, and seed True ran as seed 1
+    @pytest.mark.parametrize("changes, message", [
+        ({"k": 300.5}, "k must be an int >= 100, got 300.5"),
+        ({"n_meta": 50.5}, "n_meta must be an int >= 2, got 50.5"),
+        ({"n_meta": 1}, "n_meta must be an int >= 2, got 1"),
+        ({"seed": True}, "seed must be an integer in [0, 2**64), got True"),
+    ], ids=["k-float", "n_meta-float", "n_meta-1", "seed-bool"])
+    def test_count_or_seed_that_is_not_an_int_is_named(self, changes,
+                                                       message):
+        args = dict(k=300, seed=1, n_meta=50)
+        args.update(changes)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            calibrate_estimator(self.make_unit_spec(), OPT, "swi_plain",
+                                0.01, **args)
 
     def test_cr_floor_where_k_times_fisher_overflows(self):
         # F = 1/(2 (c + lambda)^2) is about 5e299 at lambda = 1e-150, so

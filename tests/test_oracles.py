@@ -158,6 +158,11 @@ class TestSdeSample:
             sde_sample(spec, CslPoint(0.0, OPT), 500, 1000, 1)
         with pytest.raises(ValueError, match="n_steps"):
             sde_sample(spec, CslPoint(0.0, OPT), 1000, 500, 1)
+        # float counts used to end in a TypeError from range()
+        with pytest.raises(ValueError, match="^n_traj must be an int"):
+            sde_sample(spec, CslPoint(0.0, OPT), 1000.5, 1000, 1)
+        with pytest.raises(ValueError, match="^n_steps must be an int"):
+            sde_sample(spec, CslPoint(0.0, OPT), 1000, 2000.0, 1)
 
     def test_no_dynamics(self):
         spec = swi_unit_spec(10_000, 1.0, 1.0, 0.0)
@@ -285,7 +290,8 @@ class TestSdeSample:
             per_seed.append(set(keys))
         assert per_seed[0].isdisjoint(per_seed[1])
 
-    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, "7"])
+    # True used to run as seed 1
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, "7", True])
     def test_rejects_out_of_range_seed(self, seed):
         spec = swi_unit_spec(10_000, 1.0, 1.0, 0.0)
         with pytest.raises(ValueError, match=r"seed must be an integer in "
@@ -566,7 +572,12 @@ class TestDickeEvolve:
         ("r.gamma_p", {"r": Rates(math.inf, 0.1)}),
         ("r.gamma_p", {"r": Rates(-0.1, 0.1)}),
         ("r.gamma_s", {"r": Rates(0.1, math.nan)}),
-        ("n_atoms", {"n_atoms": True})])
+        ("n_atoms", {"n_atoms": True}),
+        # a float n_steps used to fail in range() where Gamma_S > 0 and run
+        # silently where Gamma_S = 0; True ran one step
+        ("n_steps", {"n_steps": 10.0}),
+        ("n_steps", {"n_steps": 10.0, "r": Rates(0.1, 0.0)}),
+        ("n_steps", {"n_steps": True})])
     def test_bad_argument_is_named(self, name, changes):
         args = dict(n_atoms=4, r=Rates(0.1, 0.1), zeta=0.0,
                     epsilon_over_hbar=0.0, initial=coherent_spin_state(4),
