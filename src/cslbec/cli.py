@@ -15,6 +15,7 @@ stdout, so a failing command writes nothing to stdout.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import io
 import json
@@ -234,80 +235,169 @@ def _cmd_scenarios(args):
             for name, sc in SCENARIOS.items()}
 
 
+# Each flag once: (flag, the subcommands that take it, its exclusion group,
+# argparse keywords, help with the unit, the range and the default).  The
+# flags of one subcommand that share a group exclude each other.
+_READS_SPEC = "geometry variance bound curve repetitions simulate calibrate"
+_OPTIONS = [
+    ("--scenario", _READS_SPEC, "source", dict(choices=sorted(SCENARIOS)),
+     "built-in scenario (listed by 'cslbec scenarios'); it sets the spec, "
+     "the working r_C and lambda_min. One of --scenario and --spec is "
+     "required"),
+    ("--spec", _READS_SPEC, "source", {},
+     "experiment spec JSON file (keys in the README); it sets no working "
+     "r_C and no lambda_min"),
+    ("--rc", "geometry curve", None, dict(required=True),
+     "r_C grid in m as min:max:points, with finite 0 < min < max and "
+     "points >= 2; required"),
+    ("--linear", "geometry curve", None, dict(action="store_true"),
+     "space the --rc grid linearly (default: log-spaced)"),
+    ("--lambda-hz", "variance simulate", None, dict(type=float),
+     "CSL rate lambda in Hz, referenced to 1 u: finite and >= 0; required"),
+    ("--rc-m", "variance bound repetitions simulate calibrate", None,
+     dict(type=float),
+     "localization length r_C in m: finite and > 0 (default: the "
+     "scenario's working r_C; required with --spec)"),
+    ("--fp-cap-one", "bound curve repetitions calibrate", None,
+     dict(action="store_true"),
+     "set f_P = 1, the MZI plateau value, at every r_C, for a single well "
+     "too; the swi_echo mode reads no f_P and ignores the flag (default: "
+     "the closed-form f_P)"),
+    ("--no-fp-cap", "table1", None, dict(action="store_true"),
+     "use the closed-form f_P on the MZI rows (default: f_P = 1 there)"),
+    ("--lambda-min-hz", "repetitions calibrate", None, dict(type=float),
+     "target rate lambda_min in Hz: finite and > 0; calibrate also draws "
+     "its counts at this rate (default: the scenario's; with --spec, "
+     "repetitions takes the spec's own bound and calibrate needs the "
+     "flag)"),
+    ("--k", "calibrate", "size", dict(type=int),
+     "repetitions per meta-repetition: an int from 100 to about 4e25 "
+     "(default: the k that repetitions gives at --delta)"),
+    ("--delta", "repetitions table1 calibrate", "size",
+     dict(type=float, default=0.1),
+     "relative precision of the lambda_min estimate, which sets k: finite "
+     "and > 0 (default: %(default)s)"),
+    ("--n-traj", "simulate", None, dict(type=int, default=10_000),
+     "SDE trajectories: an int >= 1000 (default: %(default)s)"),
+    ("--n-steps", "simulate", None, dict(type=int, default=10_000),
+     "Euler-Maruyama steps per trajectory: an int >= 1000 "
+     "(default: %(default)s)"),
+    ("--n-meta", "calibrate", None, dict(type=int, default=500),
+     "meta-repetitions, one lambda estimate each: an int >= 2 "
+     "(default: %(default)s)"),
+    ("--seed", "simulate calibrate", None, dict(type=int, default=42),
+     "Monte Carlo seed: an int in [0, 2**64) (default: %(default)s)"),
+    ("--out", _READS_SPEC + " scenarios", None, {},
+     "write the output to this file (default: stdout); a failing command "
+     "creates no file"),
+    ("--csv", "table1", None, {},
+     "also write the table as CSV to this file, before the table reaches "
+     "stdout"),
+]
+
+_EXIT_CODES = """
+exit codes: 0 success; 2 configuration error (a bad flag, spec file or
+value); 3 numerical failure (an overflow, a result that is not a finite
+number, or an array too large to allocate)"""
+
+# subcommand: (handler, summary, epilog naming its output and units)
+_COMMANDS = {
+    "geometry": (_cmd_geometry, "geometry factors f_P, f_S on an r_C grid",
+                 """\
+output: CSV (9 significant digits), one row per r_C, with columns
+  rc_m                  localization length r_C (m)
+  f_p, f_s              closed-form geometry factors f_P and f_S
+  f_p_quadrature        f_P by quadrature
+  f_s_quadrature        f_S by quadrature"""),
+    "variance": (_cmd_variance, "forward phase variance at a CSL point",
+                 """\
+output: JSON object with keys
+  sigma_phi_sq          phase variance sigma_phi^2 at (lambda, r_C) (rad^2)
+  xi_t_sq               squeezing parameter xi_t^2 = N sigma_phi^2
+  visibility            fringe visibility exp(-Gamma_P t/2) exp(-gamma t)
+  valid                 true while sigma_phi <= pi/3, where the model
+                        holds"""),
+    "bound": (_cmd_bound, "exclusion bound lambda(r_C) at one r_C", """\
+output: JSON object with keys
+  lambda_bound_hz       the largest lambda the observed xi_t allows (Hz)
+  rc_m                  localization length r_C (m)
+  mode                  inference mode the spec sets: mzi, swi_echo or
+                        swi_plain"""),
+    "curve": (_cmd_curve, "exclusion curve lambda(r_C) over an r_C grid", """\
+output: CSV (9 significant digits), one row per r_C, with columns
+  rc_m                  localization length r_C (m)
+  lambda_bound_hz       exclusion bound (Hz); nan where bound fails"""),
+    "repetitions": (_cmd_repetitions, "repetitions needed to resolve a "
+                    "target rate", """\
+output: JSON object with keys
+  fisher_info           Fisher information of one run at lambda_min (1/Hz^2)
+  k                     repetitions that resolve lambda_min to delta
+  k_1_5                 k with the conventional variance raised by 50%
+  delta                 relative precision
+  lambda_min_hz         target rate lambda_min (Hz)
+  mode                  inference mode the spec sets: mzi, swi_echo or
+                        swi_plain
+  rc_m                  localization length r_C (m)"""),
+    "table1": (_cmd_table1, "repetition counts for all built-in scenarios",
+               """\
+output: an aligned text table on stdout, and the same table as CSV with
+--csv, one row per scenario, with columns
+  scenario              built-in scenario name
+  N                     atom number
+  xi0                   initial squeezing parameter xi_0
+  t_s                   interrogation time (s)
+  lambda_min_hz         target rate lambda_min (Hz)
+  k                     repetitions that resolve lambda_min to delta
+  k_1_5                 k with the conventional variance raised by 50%"""),
+    "simulate": (_cmd_simulate, "stochastic oracle against the closed form",
+                 """\
+output: JSON object with keys
+  analytic_variance     closed-form phase variance (rad^2)
+  mc_variance           Euler-Maruyama sample variance (rad^2)
+  mc_stderr             standard error of mc_variance (rad^2)
+  z_score               (mc_variance - analytic_variance) / mc_stderr
+  euler_bias            exact Euler-Maruyama error of mc_variance (rad^2)"""),
+    "calibrate": (_cmd_calibrate, "Monte Carlo estimator spread vs the "
+                  "Cramer-Rao floor", """\
+output: JSON object with keys
+  lambda_hat_mean_hz    mean of the lambda estimates (Hz)
+  lambda_hat_spread_hz  their standard deviation (Hz)
+  spread_stderr_hz      standard error of that spread (Hz)
+  cr_floor_hz           Cramer-Rao floor on the spread (Hz)
+  relative_spread       lambda_hat_spread_hz / lambda_min
+  k                     repetitions per meta-repetition
+  n_meta                meta-repetitions"""),
+    "scenarios": (_cmd_scenarios, "list the built-in scenarios", """\
+output: JSON object keyed by scenario name; each entry has keys
+  mode                  inference mode its spec sets
+  rc_m                  working localization length r_C (m)
+  lambda_min_hz         target rate lambda_min (Hz)
+  spec                  the full spec, in the spec-file format"""),
+}
+
+
 def _build_parser():
+    raw = argparse.RawDescriptionHelpFormatter
     parser = argparse.ArgumentParser(
         prog="cslbec",
         description="Collapse-model exclusion bounds from two-mode BEC "
-                    "interferometry",
-    )
+                    "interferometry.\n'cslbec COMMAND --help' names a "
+                    "command's options, output and units.",
+        epilog=_EXIT_CODES, formatter_class=raw)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        source = p.add_mutually_exclusive_group()
-        source.add_argument("--scenario", choices=sorted(SCENARIOS))
-        source.add_argument("--spec", help="experiment spec JSON file")
-        p.add_argument("--out", help="output file (default: stdout)")
-
-    def add_rc(p):
-        p.add_argument("--rc-m", type=float, dest="rc_m")
-
-    def add_point(p):
-        p.add_argument("--lambda-hz", type=float, dest="lambda_hz")
-        add_rc(p)
-
-    def add_grid(p):
-        p.add_argument("--rc", required=True, help="grid as min:max:points")
-        p.add_argument("--linear", action="store_true")
-
-    def add_cap(p):
-        p.add_argument("--fp-cap-one", action="store_true",
-                       help="set f_P = 1 (MZI plateau value)")
-
-    def add_delta(p):
-        p.add_argument("--delta", type=float, default=0.1)
-
-    def add_lambda_min(p):
-        p.add_argument("--lambda-min-hz", type=float, dest="lambda_min_hz")
-
-    def add_seed(p):
-        p.add_argument("--seed", type=int, default=42)
-
-    def command(name, func, summary, *adders):
-        p = sub.add_parser(name, help=summary)
-        for add in adders:
-            add(p)
+    for name, (func, summary, epilog) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary, description=summary,
+                           epilog=epilog + "\n" + _EXIT_CODES,
+                           formatter_class=raw)
         p.set_defaults(func=func)
-        return p
-
-    command("geometry", _cmd_geometry, "geometry factors on an rc grid",
-            add_common, add_grid)
-    command("variance", _cmd_variance, "forward phase variance at a point",
-            add_common, add_point)
-    command("bound", _cmd_bound, "exclusion bound lambda(rc)",
-            add_common, add_rc, add_cap)
-    command("curve", _cmd_curve, "exclusion curve over an rc grid",
-            add_common, add_cap, add_grid)
-    command("repetitions", _cmd_repetitions,
-            "required measurement repetitions",
-            add_common, add_rc, add_cap, add_delta, add_lambda_min)
-    p = command("table1", _cmd_table1, "repetition counts for all scenarios",
-                add_delta)
-    p.add_argument("--no-fp-cap", action="store_true",
-                   help="use closed-form f_P instead of the plateau cap")
-    p.add_argument("--csv", help="also write the table as CSV")
-    p = command("simulate", _cmd_simulate, "stochastic oracle vs analytics",
-                add_common, add_point, add_seed)
-    p.add_argument("--n-traj", type=int, default=10_000)
-    p.add_argument("--n-steps", type=int, default=10_000)
-    p = command("calibrate", _cmd_calibrate,
-                "Monte Carlo estimator calibration",
-                add_common, add_rc, add_cap, add_lambda_min, add_seed)
-    size = p.add_mutually_exclusive_group()
-    size.add_argument("--k", type=int)
-    add_delta(size)
-    p.add_argument("--n-meta", type=int, default=500)
-    p = command("scenarios", _cmd_scenarios, "list built-in scenarios")
-    p.add_argument("--out")
+        options = [(flag, group, kwargs, text)
+                   for flag, commands, group, kwargs, text in _OPTIONS
+                   if name in commands.split()]
+        shared = collections.Counter(group for _, group, _, _ in options)
+        groups = {group: p.add_mutually_exclusive_group()
+                  for group, n in shared.items() if group and n > 1}
+        for flag, group, kwargs, text in options:
+            groups.get(group, p).add_argument(flag, help=text, **kwargs)
     return parser
 
 

@@ -167,16 +167,19 @@ class ExperimentSpec:
         return "swi_echo" if self.protocol.echo else "swi_plain"
 
 
+def _is_int(value) -> bool:
+    """True for an int, numpy's included; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_count(name: str, value, minimum: int) -> None:
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < minimum):
+    if not _is_int(value) or value < minimum:
         raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
 
 
 def _check_seed(seed) -> None:
     """Reject a seed outside the uint64 range of a Philox key, or a bool."""
-    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
-            or not 0 <= seed < 2 ** 64):
+    if not (_is_int(seed) and 0 <= seed < 2 ** 64):
         raise ValueError(
             f"seed must be an integer in [0, 2**64), got {seed!r}")
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ExperimentSpec, _check_count, _check_nonnegative,
-                   _check_positive, _check_seed)
+                   _check_positive, _check_seed, _is_int)
 from .dynamics import (_square, collapse_part, collapse_rates,
                        propagator_parts)
 from . import geometry
@@ -194,8 +194,8 @@ def exclusion_curve(spec: ExperimentSpec, mode: str, rc_grid,
 
 def fisher_information(split: VarianceSplit, lam: float) -> float:
     """FI of the Gaussian count distribution with respect to lambda."""
-    return 1.0 / (2.0 * _square(split.sigma_conv_sq / split.alpha_csl_sq + lam,
-                                "sigma_conv^2 / alpha_csl^2 + lambda"))
+    return 0.5 / _square(split.sigma_conv_sq / split.alpha_csl_sq + lam,
+                         "sigma_conv^2 / alpha_csl^2 + lambda")
 
 
 def _repetition_count(name: str, conv: float, split: VarianceSplit,
@@ -286,7 +286,9 @@ def calibrate_estimator(spec: ExperimentSpec, rc: float, mode: str,
     finite and >= 0; k and n_meta (>= 2) must be ints, and a bool is not.
     """
     _check_nonnegative("lambda_true", lambda_true)
-    if not (k >= 100 and math.sqrt(2 / (k - 1)) >= _MIN_CHI2_SPREAD):
+    # a k that is not an int gets the count rule's message, not a TypeError
+    if _is_int(k) and not (k >= 100
+                           and math.sqrt(2 / (k - 1)) >= _MIN_CHI2_SPREAD):
         raise ValueError(
             "k must be >= 100 and below about 4e25, where the chi^2 "
             f"spread sqrt(2/(k-1)) reaches 1e3 float epsilons; got k = {k!r}")

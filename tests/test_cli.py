@@ -8,9 +8,11 @@ import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -713,6 +715,18 @@ class TestExitCodes:
             "numerical failure: sigma_conv^2 / alpha_csl^2 + lambda squared "
             "overflows")
 
+    def test_fisher_information_below_the_normal_range(self, capsys):
+        # 2 x^2 overflowed at x = 1e154, and fisher_info printed as 0.0
+        code, out, _ = run_capture(capsys, [
+            "repetitions", "--scenario", "rb-mzi", "--lambda-min-hz", "1e154"])
+        assert code == 0
+        sc = SCENARIOS["rb-mzi"]
+        split = cslbec.variance_split(sc.spec, sc.rc, sc.mode)
+        x = split.sigma_conv_sq / split.alpha_csl_sq + 1e154
+        fisher = json.loads(out)["fisher_info"]
+        assert fisher > 0.0
+        assert fisher == float(1 / (2 * Fraction(x) ** 2))
+
     @pytest.mark.parametrize("argv", [
         ["bound", "--scenario", "rb-swi", "--rc-m=nan"],
         ["bound", "--scenario", "rb-mzi", "--rc-m=-inf"],
@@ -864,6 +878,75 @@ class TestOptionsAreRead:
                      "--spec", str(tmp_path / "spec.json")])
         assert exc.value.code == 2
         assert "not allowed" in capsys.readouterr().err
+
+
+def emitted_names(command, capsys, tmp_path):
+    """The JSON keys or CSV columns a MINIMAL_ARGV run of ``command``
+    emits; for scenarios, the keys of each entry."""
+    argv = [command, *MINIMAL_ARGV[command]]
+    if command == "table1":
+        argv += ["--csv", str(tmp_path / "table1.csv")]
+    code, out, _ = run_capture(capsys, argv)
+    assert code == 0
+    if command == "table1":
+        header, _ = parse_csv((tmp_path / "table1.csv").read_text())
+        assert out.split("\n")[0].split() == header
+        return header
+    if command in ("geometry", "curve"):
+        return parse_csv(out)[0]
+    result = json.loads(out)
+    if command == "scenarios":
+        return sorted({key for entry in result.values() for key in entry})
+    return sorted(result)
+
+
+def readme_options():
+    """(subcommand, flag) pairs of the README's CLI options table."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        os.pardir, "README.md")
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().split("\n")
+    start = lines.index("| flag | unit | default | range | subcommands |")
+    pairs = set()
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        cells = line.split("|")
+        flag = cells[1].strip().strip("`")
+        pairs |= {(command, flag)
+                  for command in re.findall(r"`([\w-]+)`", cells[-2])}
+    return pairs
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", sorted(MINIMAL_ARGV))
+    def test_every_option_has_help(self, command):
+        for action in subcommands()[command]._actions:
+            assert (action.help or "").strip(), action.option_strings
+
+    @pytest.mark.parametrize("command", sorted(MINIMAL_ARGV))
+    def test_epilog_names_outputs_and_exit_codes(self, capsys, tmp_path,
+                                                 command):
+        epilog = subcommands()[command].epilog
+        for name in emitted_names(command, capsys, tmp_path):
+            assert re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])",
+                             epilog), name
+        assert re.search(r"exit codes: 0 \w[^;]*; 2 \w[^;]*; 3 \w", epilog)
+
+    def test_help_formats(self, capsys):
+        for command in MINIMAL_ARGV:
+            with pytest.raises(SystemExit) as exc:
+                cli.run([command, "--help"])
+            assert exc.value.code == 0
+            assert "exit codes: 0" in capsys.readouterr().out
+
+    def test_readme_lists_every_option(self):
+        parser_pairs = {(command, flag)
+                        for command, p in subcommands().items()
+                        for a in p._actions
+                        if not isinstance(a, argparse._HelpAction)
+                        for flag in a.option_strings}
+        assert readme_options() == parser_pairs
 
 
 def _reject_constant(name):

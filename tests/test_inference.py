@@ -650,13 +650,17 @@ class TestCalibrateEstimator:
                             4 * 10 ** 25, seed=1)
 
     # k = 300.5 used to run and report k = 300.5, n_meta = 50.5 failed
-    # inside numpy, and seed True ran as seed 1
+    # inside numpy, seed True ran as seed 1, and k = "300" or None raised
+    # a bare TypeError
     @pytest.mark.parametrize("changes, message", [
         ({"k": 300.5}, "k must be an int >= 100, got 300.5"),
+        ({"k": "300"}, "k must be an int >= 100, got '300'"),
+        ({"k": None}, "k must be an int >= 100, got None"),
         ({"n_meta": 50.5}, "n_meta must be an int >= 2, got 50.5"),
         ({"n_meta": 1}, "n_meta must be an int >= 2, got 1"),
         ({"seed": True}, "seed must be an integer in [0, 2**64), got True"),
-    ], ids=["k-float", "n_meta-float", "n_meta-1", "seed-bool"])
+    ], ids=["k-float", "k-str", "k-none", "n_meta-float", "n_meta-1",
+            "seed-bool"])
     def test_count_or_seed_that_is_not_an_int_is_named(self, changes,
                                                        message):
         args = dict(k=300, seed=1, n_meta=50)

@@ -669,6 +669,29 @@ class TestDickePhaseVariance:
             dicke_phase_variance(state)
 
 
+class TestStreamCanary:
+    # NumPy fixes each BitGenerator's bits, not the algorithm a Generator
+    # method turns them into; these pin the first draws of both methods
+    # the package samples with
+    MOVED = ("numpy changed Generator.{} on Philox; every Monte Carlo "
+             "number (simulate, calibrate, the benchmark's reference) "
+             "moves with it")
+
+    def test_sde_block_0_normals(self):
+        key = np.array([42, 0], dtype=np.uint64)
+        draws = np.random.Generator(np.random.Philox(key=key)) \
+            .standard_normal(3).tolist()
+        assert draws == [0.3375714466967798, -0.7821534784435413,
+                         -0.3160252007782352], self.MOVED.format(
+                             "standard_normal")
+
+    def test_calibrate_chisquare(self):
+        draws = np.random.Generator(np.random.Philox(key=42)) \
+            .chisquare(299, 3).tolist()
+        assert draws == [306.6553134382396, 290.6802510566375,
+                         313.6141773992399], self.MOVED.format("chisquare")
+
+
 class TestBenchReference:
     # the Dicke values the benchmark gates; recorded there once, read-only
     REFERENCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
