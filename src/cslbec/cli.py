@@ -22,10 +22,12 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import core, dynamics, geometry, inference, oracles
 from .scenarios import SCENARIOS
+
+# the layers load numpy on first use, so a scalar command never does
+np = core._lazy_numpy()
+
 
 def _fmt(x, digits):
     return f"{x:.{digits}g}" if isinstance(x, float) else str(x)

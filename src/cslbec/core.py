@@ -10,6 +10,7 @@ range: parsing, serialising and the per-field checks of ``validate`` read it.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import numbers
@@ -45,7 +46,27 @@ _MAX_SIGMA_PHI = math.pi / 3.0
 
 
 class SpecError(ValueError):
-    """Raised for malformed experiment-spec input (bad JSON keys, types)."""
+    """Raised for malformed experiment-spec input (bad JSON keys, types),
+    and by the library for a spec that ``validate`` refuses."""
+
+
+def _lazy_numpy():
+    """numpy as a module that loads on its first attribute access.
+
+    The numerical layers bind ``np`` to it, so a command that reads no
+    array never imports numpy.  A numpy already in ``sys.modules``, loaded
+    or lazy, is returned as it is.  Python 3.11's lazy module takes no
+    lock while it loads: code that first reads numpy from several threads
+    must read it once before they start.
+    """
+    np = sys.modules.get("numpy")
+    if np is None:
+        spec = importlib.util.find_spec("numpy")
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        np = importlib.util.module_from_spec(spec)
+        sys.modules["numpy"] = np
+        spec.loader.exec_module(np)
+    return np
 
 
 @dataclass(frozen=True)
@@ -269,14 +290,9 @@ def _groups(spec: ExperimentSpec):
             yield group, gtype, flds, obj
 
 
-def validate(spec: ExperimentSpec) -> list:
-    """Collect every violated invariant as a message; never raises.
-
-    A NaN or infinite number gives one violation per field, and then the
-    range checks are skipped: they mean nothing for such values.  Soft
-    conditions (MZI separation regime, echo with zero dispersion) emit a
-    ``UserWarning`` instead of a violation.  ``CslPoint`` checks its own
-    fields on construction.
+def _violations(spec: ExperimentSpec) -> tuple:
+    """(messages, finite): the invariants ``spec`` violates, and whether
+    every field is finite.  The rules of ``validate``, without its warnings.
     """
     nonfinite, v = [], []
     for group, _, flds, obj in _groups(spec):
@@ -288,13 +304,11 @@ def validate(spec: ExperimentSpec) -> list:
             elif f.rule and value is not None and not _RULES[f.rule](value):
                 v.append(f"{name} must be {f.rule}")
     if nonfinite:
-        return nonfinite
+        return nonfinite, False
 
-    g, s, p = spec.geometry, spec.state, spec.protocol
+    g, s = spec.geometry, spec.state
     if not isinstance(g, (MziGeometry, SwiGeometry)):
         v.append("geometry must be MziGeometry or SwiGeometry")
-    elif isinstance(g, MziGeometry) and 0 < g.delta_x < 10.0 * g.w_x:
-        warnings.warn("MZI geometry intended for delta_x >> w_x", stacklevel=2)
     for name, xi in (("xi0", s.xi0), ("xi_t", spec.xi_t)):
         if (xi is not None and s.n_atoms >= 2
                 and xi / math.sqrt(s.n_atoms) > _MAX_SIGMA_PHI):
@@ -303,14 +317,40 @@ def validate(spec: ExperimentSpec) -> list:
     if s.sigma_n0 is None and s.n_atoms >= 2 and s.xi0 > 0:
         v.append(f"state.xi0 = {s.xi0!r} is too small: the default "
                  "state.sigma_n0 = sqrt(N)/xi0 overflows")
-    if p.echo and p.zeta == 0:
+    if spec.xi_t is not None and spec.xi_t < s.xi0:
+        v.append("xi_t < xi0: observed narrowing is unphysical")
+    return v, True
+
+
+def validate(spec: ExperimentSpec) -> list:
+    """Collect every violated invariant as a message; never raises.
+
+    A NaN or infinite number gives one violation per field, and then the
+    range checks are skipped: they mean nothing for such values.  Soft
+    conditions (MZI separation regime, echo with zero dispersion) emit a
+    ``UserWarning`` instead of a violation, where every field is finite.
+    ``CslPoint`` checks its own fields on construction.
+    """
+    violations, finite = _violations(spec)
+    g, p = spec.geometry, spec.protocol
+    if finite and isinstance(g, MziGeometry) and 0 < g.delta_x < 10.0 * g.w_x:
+        warnings.warn("MZI geometry intended for delta_x >> w_x", stacklevel=2)
+    if finite and p.echo and p.zeta == 0:
         warnings.warn("echo protocol with zeta = 0 " + (
             "has no effect" if isinstance(g, MziGeometry) else
             "leaves the swi_echo bound no slope in lambda: it drops f_P, "
             "and no dispersion amplifies f_S"), stacklevel=2)
-    if spec.xi_t is not None and spec.xi_t < s.xi0:
-        v.append("xi_t < xi0: observed narrowing is unphysical")
-    return v
+    return violations
+
+
+def _check_spec(spec: ExperimentSpec) -> None:
+    """SpecError with every violation ``validate`` would return, joined by
+    "; ".  The library's entry points run it on every call, uncached: it
+    warns of nothing, and it costs microseconds.
+    """
+    violations, _ = _violations(spec)
+    if violations:
+        raise SpecError("; ".join(violations))
 
 
 def _parse(value, kind: type, name: str):

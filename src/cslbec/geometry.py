@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
-import numpy as np
+from .core import MziGeometry, SwiGeometry, _lazy_numpy
 
-from .core import MziGeometry, SwiGeometry
+np = _lazy_numpy()
 
 __all__ = [
     "OverlapMatrix",
@@ -125,31 +127,61 @@ class GeometryFactors:
 
 
 # keeps 4 rc^2, the largest multiple of rc^2 the factors form, finite
-_RC_MAX = math.sqrt(np.finfo(float).max) / 2.0
+_RC_MAX = math.sqrt(sys.float_info.max) / 2.0
 
 
-def _checked_rc(rc) -> np.ndarray:
-    """rc as a float array, at least 1-D; ValueError outside (0, _RC_MAX]."""
-    r = np.atleast_1d(np.asarray(rc, dtype=float))
-    bad = ~((r > 0) & (r <= _RC_MAX))
-    if bad.any():
-        raise ValueError(f"rc must be finite and > 0, at most {_RC_MAX:.3g} m,"
-                         f" got {float(r[bad][0])!r}")
+def _checked_rc(rc):
+    """rc as a float for a scalar (a real number or a 0-d array), else as
+    a float array of at least one dimension; ValueError outside
+    (0, _RC_MAX].  A real number touches no numpy.
+    """
+    if not isinstance(rc, numbers.Real):
+        r = np.asarray(rc, dtype=float)
+        if r.ndim == 0:
+            return _checked_rc(float(r))
+        bad = ~((r > 0) & (r <= _RC_MAX))
+        if bad.any():
+            raise _rc_error(float(r[bad][0]))
+        return r
+    r = float(rc)
+    if not 0.0 < r <= _RC_MAX:
+        raise _rc_error(r)
     return r
 
 
+def _rc_error(r: float) -> ValueError:
+    return ValueError(f"rc must be finite and > 0, at most {_RC_MAX:.3g} m, "
+                      f"got {r!r}")
+
+
+def _checked_r2(rc):
+    """rc^2 of a checked rc (``_checked_rc``): r * r for a float, where
+    ``**`` would go through C pow and can round apart from numpy, and
+    numpy's square for an array, which is r * r in one faster loop.
+    """
+    r = _checked_rc(rc)
+    return r * r if isinstance(r, float) else np.square(r)
+
+
 # --- closed forms: one function per formula --------------------------------
-# Each takes rc^2 as a checked array (``_checked_rc``).  The MZI's f_S is 0:
-# its displaced modes do not overlap.
+# Each takes rc^2 of a checked rc (``_checked_r2``), a float or an array,
+# and reads sqrt and expm1 from math or numpy to match (``_lib``).
+# The MZI's f_S is 0: its displaced modes do not overlap.
+
+
+def _lib(r2):
+    """math for a float ``r2``, numpy for an array."""
+    return math if isinstance(r2, float) else np
 
 
 def _mzi_f_p(geometry: MziGeometry, r2):
     """MZI f_P at rc^2 = ``r2``."""
+    lib = _lib(r2)
     wx, wy, dx = geometry.w_x, geometry.w_y, geometry.delta_x
     # the transverse ratio is exactly 1.0 for w_x = w_y
     wx2_r2 = wx ** 2 + r2
-    return (-np.expm1(-dx ** 2 / (4.0 * wx2_r2))) * (r2 / wx2_r2) \
-        * np.sqrt(wx2_r2 / (wy ** 2 + r2))
+    return (-lib.expm1(-dx ** 2 / (4.0 * wx2_r2))) * (r2 / wx2_r2) \
+        * lib.sqrt(wx2_r2 / (wy ** 2 + r2))
 
 
 def _swi_f_s(geometry: SwiGeometry, r2):
@@ -157,34 +189,34 @@ def _swi_f_s(geometry: SwiGeometry, r2):
     last, so no intermediate leaves the normal float range while ``r2``
     and the result are normal.
     """
+    sqrt = _lib(r2).sqrt
     x0_sq = geometry.x0 ** 2
     s2 = r2 + x0_sq
-    return x0_sq / np.sqrt(r2 + geometry.w_y ** 2) / np.sqrt(s2) * (r2 / s2)
+    return x0_sq / sqrt(r2 + geometry.w_y ** 2) / sqrt(s2) * (r2 / s2)
 
 
 def f_closed(geometry, rc) -> GeometryFactors:
     """Closed-form geometry factors at localization length rc.
 
-    ``rc`` may be an array, giving array factors; a scalar gives floats.
-    Scalars run through the same array arithmetic, so both agree bit for
-    bit.  Each formula is written once, in ``_mzi_f_p`` and ``_swi_f_s``
-    above, which the inference also calls when its mode reads only one
-    factor.  The single-well f_P is f_S times the exact ratio
+    ``rc`` may be an array, giving array factors; a scalar gives floats
+    and loads no numpy.  Each formula is written once, in ``_mzi_f_p`` and
+    ``_swi_f_s`` above, which the inference also calls when its mode reads
+    only one factor.  A scalar and the same rc in an array agree bit for
+    bit for a single well; the MZI's f_P takes its expm1 from math for a
+    scalar and from numpy for an array, and the two differ by at most one
+    ulp.  The single-well f_P is f_S times the exact ratio
     f_P / f_S = 3 x0^2 / (8 (rc^2 + x0^2)).
     """
-    r = _checked_rc(rc)
-    r2 = r ** 2
+    r2 = _checked_r2(rc)
     if isinstance(geometry, MziGeometry):
         f_p = _mzi_f_p(geometry, r2)
-        f_s = np.zeros_like(f_p)
+        f_s = 0.0 if isinstance(r2, float) else np.zeros_like(f_p)
     elif isinstance(geometry, SwiGeometry):
         x0_sq = geometry.x0 ** 2
         f_s = _swi_f_s(geometry, r2)
         f_p = f_s * (3.0 / 8.0 * x0_sq / (r2 + x0_sq))
     else:
         raise TypeError("geometry must be MziGeometry or SwiGeometry")
-    if np.ndim(rc) == 0:
-        return GeometryFactors(f_p=float(f_p[0]), f_s=float(f_s[0]))
     return GeometryFactors(f_p=f_p, f_s=f_s)
 
 

@@ -17,13 +17,13 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (ExperimentSpec, _check_count, _check_nonnegative,
-                   _check_positive, _check_seed, _is_int)
+                   _check_positive, _check_seed, _is_int, _lazy_numpy)
 from .dynamics import (_square, collapse_part, collapse_rates,
                        propagator_parts)
 from . import geometry
+
+np = _lazy_numpy()
 
 __all__ = [
     "MODES",
@@ -76,7 +76,7 @@ class RepetitionEstimate:
 
 def _model(spec: ExperimentSpec, mode: str, fp_cap_one: bool):
     """(sigma_conv^2, slope): the intercept, and alpha_csl^2 as a function
-    of r_C that returns an array of at least one dimension.
+    of r_C that returns a float for a scalar r_C and an array otherwise.
 
     ``mode`` must be ``spec.mode``: ``propagator_parts`` runs once, with
     the spec's own protocol (two legs for an echo).  The slope evaluates
@@ -91,19 +91,20 @@ def _model(spec: ExperimentSpec, mode: str, fp_cap_one: bool):
 
     if mode == "swi_plain" and not fp_cap_one:
         def factors(rc):  # the one case that reads both factors
-            f = geometry.f_closed(g, np.atleast_1d(rc))
+            f = geometry.f_closed(g, rc)
             return f.f_p, f.f_s
     elif mode == "mzi" and fp_cap_one:
-        def factors(rc):  # an array f_P = 1: the slope keeps r_C's shape
-            return np.ones(geometry._checked_rc(rc).shape), 0.0
+        def factors(rc):  # f_P = 1 in r_C's shape
+            r = geometry._checked_rc(rc)
+            return (1.0 if isinstance(r, float) else np.ones(r.shape)), 0.0
     elif mode == "mzi":
         def factors(rc):
-            return geometry._mzi_f_p(g, geometry._checked_rc(rc) ** 2), 0.0
+            return geometry._mzi_f_p(g, geometry._checked_r2(rc)), 0.0
     else:
         f_p = 0.0 if mode == "swi_echo" else 1.0
 
         def factors(rc):
-            return f_p, geometry._swi_f_s(g, geometry._checked_rc(rc) ** 2)
+            return f_p, geometry._swi_f_s(g, geometry._checked_r2(rc))
 
     def slope(rc):
         rates = collapse_rates(1.0, spec.species, *factors(rc))
@@ -117,13 +118,10 @@ def variance_split(spec: ExperimentSpec, rc, mode: str,
     """Split the phase variance into conventional and collapse terms.
 
     ``rc`` may be an array: the slope has its shape, and a scalar ``rc``
-    gives a float.  ``mode`` must be ``spec.mode``.
+    gives a float without numpy.  ``mode`` must be ``spec.mode``.
     """
     sigma_conv_sq, slope = _model(spec, mode, fp_cap_one)
-    alpha_csl_sq = slope(rc)
-    if np.ndim(rc) == 0:
-        alpha_csl_sq = float(alpha_csl_sq[0])
-    return VarianceSplit(sigma_conv_sq, alpha_csl_sq)
+    return VarianceSplit(sigma_conv_sq, slope(rc))
 
 
 def _excess(spec: ExperimentSpec, sigma_conv_sq: float) -> float:
@@ -171,8 +169,9 @@ def exclusion_curve(spec: ExperimentSpec, mode: str, rc_grid,
     NaN marks exactly the points where ``lambda_bound`` raises: a negative
     excess variance, a zero slope or a bound past the float range.  A grid
     that is not 1-D, an r_C outside (0, 6.7e153 m], a mode other than
-    ``spec.mode`` or a spec without xi_t raises for the whole grid.  A
-    negative (or NaN) excess gives all NaN without a geometry factor.
+    ``spec.mode``, a spec that ``validate`` refuses (SpecError) or a spec
+    without xi_t raises for the whole grid.  A negative excess gives all
+    NaN without a geometry factor.
     """
     rc_grid = np.asarray(rc_grid, dtype=float)
     if rc_grid.ndim != 1:
@@ -181,7 +180,7 @@ def exclusion_curve(spec: ExperimentSpec, mode: str, rc_grid,
     sigma_conv_sq, slope = _model(spec, mode, fp_cap_one)
     excess = _excess(spec, sigma_conv_sq)
     bound = np.full(rc_grid.shape, np.nan)
-    if not excess >= 0:
+    if excess < 0:
         geometry._checked_rc(rc_grid)
         return ExclusionCurve(rc=rc_grid, lambda_bound=bound)
     for i in range(0, rc_grid.size, _BLOCK):

@@ -25,11 +25,11 @@ import os
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (CslPoint, ExperimentSpec, Protocol, _check_count,
-                   _check_nonnegative, _check_seed)
+                   _check_nonnegative, _check_seed, _check_spec, _lazy_numpy)
 from .dynamics import PhaseMoments, Rates, rates
+
+np = _lazy_numpy()
 
 __all__ = [
     "SdeMoments",
@@ -144,8 +144,9 @@ def sde_sample(spec: ExperimentSpec, point: CslPoint, n_traj: int,
     Gamma_S = 0.  A UserWarning asks for more steps when |bias| exceeds
     0.1 ``stderr_variance``, where the bias would begin to show against
     the sampling error.  n_traj and n_steps must be ints >= 1000, and a
-    bool is not an int.
+    bool is not an int.  A spec that ``validate`` refuses raises SpecError.
     """
+    _check_spec(spec)
     _check_count("n_traj", n_traj, 1000)
     _check_count("n_steps", n_steps, 1000)
     _check_seed(seed)
@@ -171,6 +172,7 @@ def sde_sample(spec: ExperimentSpec, point: CslPoint, n_traj: int,
                                    sig_phi, diff_n)
 
     workers = min(len(starts), _cpu_count())
+    np.random  # a lazy numpy loads here, not at once in the workers
     with ThreadPoolExecutor(max_workers=workers) as pool:
         blocks = list(pool.map(run_block, range(len(starts))))
     phi_all = np.concatenate(blocks)

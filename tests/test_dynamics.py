@@ -13,6 +13,7 @@ from cslbec.core import (
     Protocol,
     RUBIDIUM_87,
     Species,
+    SpecError,
     SwiGeometry,
 )
 from cslbec.dynamics import (
@@ -213,8 +214,10 @@ class TestPropagatorParts:
     ZETA = (st.just(0.0) | st.floats(1e-3, 1e3)
             | st.floats(-1e3, -1e-3))
 
+    # xi0 <= 1.4 keeps xi0^2/N below pi^2/9 at N = 2, as validate asks;
+    # the unit responses do not read xi0
     @settings(max_examples=200, deadline=None)
-    @given(n_atoms=st.integers(2, 10 ** 9), xi0=st.floats(0.5, 5.0),
+    @given(n_atoms=st.integers(2, 10 ** 9), xi0=st.floats(0.5, 1.4),
            t=st.floats(1e-3, 100.0), zeta=ZETA, echo=st.booleans(),
            gamma_p=RATE, gamma_s=RATE)
     def test_collapse_is_linear_in_the_rates(self, n_atoms, xi0, t, zeta,
@@ -222,7 +225,8 @@ class TestPropagatorParts:
         # the unit-rate responses, combined, equal a leg-by-leg evolution
         # of the collapse noise at those rates
         spec = swi_spec(state=InitialState(n_atoms=n_atoms, xi0=xi0),
-                        protocol=Protocol(t=t, zeta=zeta, echo=echo))
+                        protocol=Protocol(t=t, zeta=zeta, echo=echo),
+                        xi_t=None)
         _, unit_p, unit_s = propagator_parts(spec)
         r = Rates(gamma_p, gamma_s)
         direct = GaussianCharacteristic(0.0, 0.0, 0.0)
@@ -247,6 +251,21 @@ class TestPropagatorParts:
         var = phase_variance(sc.spec, point).variance
         assert expected > 1e308
         assert var == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("evaluate", [
+        propagator_parts,
+        lambda spec: phase_variance(spec, CslPoint(1e-10, 1e-6)),
+        lambda spec: characteristic_function(spec, CslPoint(1e-10, 1e-6),
+                                             1.0, 0.0),
+        lambda spec: echo_characteristic_closed(spec, CslPoint(1e-10, 1e-6)),
+        lambda spec: visibility(spec, CslPoint(1e-10, 1e-6)),
+    ], ids=["propagator_parts", "phase_variance", "characteristic_function",
+            "echo_characteristic_closed", "visibility"])
+    def test_refuses_a_spec_validate_refuses(self, evaluate):
+        # N = 1 used to give a variance; validate asks N >= 2
+        spec = swi_spec(state=InitialState(n_atoms=1, xi0=1.0))
+        with pytest.raises(SpecError, match="^state.n_atoms must be >= 2$"):
+            evaluate(spec)
 
     def test_overflowing_unit_diffusion_is_named(self):
         # zeta^2 is finite, but N^2 zeta^2 t^3 is not: refused, not NaN

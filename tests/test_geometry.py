@@ -223,6 +223,30 @@ class TestClosedForms:
         np.testing.assert_array_equal(f.f_p, [s.f_p for s in scalar])
         np.testing.assert_array_equal(f.f_s, [s.f_s for s in scalar])
 
+    # 40,000 r_C from the smallest whose rc^2 is a normal float to _RC_MAX:
+    # half log-spaced, half log-uniform at random
+    WIDE_RC = np.concatenate([
+        np.geomspace(1.5e-154, 6.7e153, 20_000),
+        np.exp(np.random.default_rng(28).uniform(
+            math.log(1.5e-154), math.log(6.7e153), 20_000))])
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_scalar_agrees_with_the_grid_over_the_whole_range(self, name):
+        # a scalar rc runs on floats and math, a grid on numpy arrays
+        geom = SCENARIOS[name].spec.geometry
+        grid = f_closed(geom, self.WIDE_RC)
+        scalar = [f_closed(geom, rc) for rc in self.WIDE_RC.tolist()]
+        f_p = np.array([s.f_p for s in scalar])
+        np.testing.assert_array_equal(grid.f_s, [s.f_s for s in scalar])
+        if isinstance(geom, SwiGeometry):
+            np.testing.assert_array_equal(grid.f_p, f_p)
+        else:
+            # math.expm1 and numpy's vectorised expm1 may round apart; the
+            # factors are positive floats, so their bit patterns count ulps
+            assert (f_p > 0).all()
+            ulps = np.abs(grid.f_p.view(np.int64) - f_p.view(np.int64))
+            assert ulps.max() <= 1
+
     @staticmethod
     def exact_factors(geom, rc):
         """(f_P, f_S) from the defining closed forms in 400-digit decimals."""

@@ -15,7 +15,9 @@ from cslbec.core import (
     Protocol,
     RUBIDIUM_87,
     Species,
+    SpecError,
     SwiGeometry,
+    validate,
 )
 from cslbec.dynamics import phase_variance, propagator_parts
 from cslbec.geometry import f_closed, optimal_rc
@@ -54,6 +56,33 @@ def scenario_spec(name, mode):
         return spec
     echo = mode == "swi_echo"
     return replace(spec, protocol=replace(spec.protocol, echo=echo))
+
+
+def negative_excess(spec):
+    """A valid ``spec`` whose conventional spread exceeds the observed one.
+
+    With xi_t = xi0, the dispersion broadening (zeta t sigma_n0)^2 of a
+    plain protocol is all of the negative excess; a spec without
+    dispersion gets zeta = 1e-3 rad/s.  An echo's net shear is exactly 0,
+    so no echo spec with xi_t >= xi0, as ``validate`` asks, has one.
+    """
+    assert not spec.protocol.echo
+    protocol = replace(spec.protocol, zeta=spec.protocol.zeta or 1e-3)
+    return replace(spec, protocol=protocol, xi_t=spec.state.xi0)
+
+
+# a spec that validate refuses, as each of these, used to get an answer:
+# a NaN bound, 69.30 Hz, 7.28e-11 Hz, 3.85e-10 Hz and a ZeroDivisionError
+REFUSED_SPECS = {
+    "xi_t-nan": replace(RB_SWI.spec, xi_t=math.nan),
+    "n_atoms-1": replace(RB_SWI.spec,
+                         state=replace(RB_SWI.spec.state, n_atoms=1)),
+    "mass_u-negative": replace(RB_SWI.spec, species=Species("Rb-87", -87.0)),
+    "xi0-negative": replace(RB_SWI.spec, state=InitialState(
+        n_atoms=300_000, xi0=-5.0, sigma_n0=1.0)),
+    "t-negative": replace(RB_SWI.spec,
+                          protocol=replace(RB_SWI.spec.protocol, t=-0.5)),
+}
 
 PAPER_K = {"rb-mzi": 2086, "rb-swi": 3381, "cs-mzi": 1033,
            "rb-swi-echo": 3065}
@@ -225,16 +254,41 @@ class TestLambdaBound:
         assert lambda_bound(spec, 1e-6, "mzi") == 0.0
 
     def test_negative_excess_raises(self):
+        # xi_t > xi0, but the dispersion broadening (zeta t sigma_n0)^2 =
+        # 1e-2 exceeds the excess (1.2^2 - 1) / N = 4.4e-5
         spec = ExperimentSpec(
             species=RUBIDIUM_87,
             geometry=MziGeometry(delta_x=10e-6, w_x=100e-9),
             state=InitialState(n_atoms=10_000, xi0=1.0),
-            protocol=Protocol(t=1.0),
+            protocol=Protocol(t=1.0, zeta=1e-3),
             noise=NoiseModel(),
-            xi_t=0.8,
+            xi_t=1.2,
         )
+        assert validate(spec) == []
         with pytest.raises(ExcessVarianceError):
             lambda_bound(spec, 1e-6, "mzi")
+
+    @pytest.mark.parametrize("name", sorted(REFUSED_SPECS))
+    def test_refuses_a_spec_validate_refuses(self, name):
+        spec = REFUSED_SPECS[name]
+        message = "; ".join(validate(spec))
+        assert message
+        with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
+            lambda_bound(spec, RB_SWI.rc, RB_SWI.mode)
+
+    @pytest.mark.parametrize("entry", [
+        lambda spec: variance_split(spec, RB_SWI.rc, RB_SWI.mode),
+        lambda spec: exclusion_curve(spec, RB_SWI.mode, [1e-7, 1e-6]),
+        lambda spec: repetitions(spec, RB_SWI.rc, RB_SWI.mode,
+                                 lambda_min=1e-10),
+        lambda spec: calibrate_estimator(spec, RB_SWI.rc, RB_SWI.mode,
+                                         lambda_true=1e-10, k=1000, seed=1,
+                                         n_meta=10),
+    ], ids=["variance_split", "exclusion_curve", "repetitions",
+            "calibrate_estimator"])
+    def test_every_entry_refuses_an_invalid_spec(self, entry):
+        with pytest.raises(SpecError, match="^state.n_atoms must be >= 2$"):
+            entry(REFUSED_SPECS["n_atoms-1"])
 
     def test_requires_xi_t(self):
         spec = ExperimentSpec(
@@ -255,6 +309,13 @@ class TestLambdaBound:
         compared = 0
         for _ in range(100):
             spec = random_spec(rng, mode)
+            if mode == "swi_plain":
+                # a dispersion broadening zeta^2 t^2 N sigma_n0^2 of up to
+                # xi0^2 keeps xi_t below the narrow-phase limit pi/3 sqrt(N)
+                zeta = (spec.state.xi0 ** 2 / spec.protocol.t
+                        / spec.state.n_atoms * float(rng.uniform(0.3, 1.0)))
+                spec = replace(spec, protocol=replace(spec.protocol,
+                                                      zeta=zeta))
             rc = float(rng.uniform(3e-8, 3e-6))
             f = f_closed(spec.geometry, rc)
             n = spec.state.n_atoms
@@ -265,8 +326,9 @@ class TestLambdaBound:
             dispersion = 0.0 if spec.protocol.echo else \
                 zeta ** 2 * t ** 2 * n * spec.state.sigma_n0 ** 2
             if mode == "swi_plain":
-                # the dispersion dwarfs random_spec's excess, which would
-                # leave every draw below the conventional prediction
+                # the dispersion is of the order of random_spec's excess,
+                # which would leave some draws below the conventional
+                # prediction
                 spec = replace(spec, xi_t=math.sqrt(
                     spec.state.xi0 ** 2 + dispersion)
                     * float(rng.uniform(1.01, 1.5)))
@@ -337,10 +399,11 @@ class TestExclusionCurve:
         if sc.mode == "swi_echo" or (sc.mode == "swi_plain"
                                      and not fp_cap_one):
             assert np.isfinite(bounds[0])
+        if sc.spec.protocol.echo:
+            return  # an echo spec has no negative excess (negative_excess)
         # observed spread below the conventional one: no bound anywhere
-        narrow = replace(sc.spec, xi_t=0.9 * sc.spec.state.xi0)
-        bounds = self.assert_matches_pointwise(narrow, sc.mode, grid,
-                                               fp_cap_one)
+        bounds = self.assert_matches_pointwise(negative_excess(sc.spec),
+                                               sc.mode, grid, fp_cap_one)
         assert np.all(np.isnan(bounds))
 
     @pytest.mark.parametrize("fp_cap_one", [False, True])
@@ -421,12 +484,12 @@ class TestExclusionCurve:
         assert np.isfinite(curve.lambda_bound).all()
 
     @pytest.mark.parametrize("fp_cap_one", [False, True])
-    @pytest.mark.parametrize("name, mode", SCENARIO_MODES)
+    @pytest.mark.parametrize("name, mode", [
+        (name, mode) for name, mode in SCENARIO_MODES if mode != "swi_echo"])
     def test_negative_excess_evaluates_no_factor(self, monkeypatch, name,
                                                  mode, fp_cap_one):
         calls = self.count_factor_formulas(monkeypatch)
-        spec = scenario_spec(name, mode)
-        narrow = replace(spec, xi_t=0.9 * spec.state.xi0)
+        narrow = negative_excess(scenario_spec(name, mode))
         grid = np.geomspace(1e-9, 1e-3, 2 * inference._BLOCK + 1)
         curve = exclusion_curve(narrow, mode, grid, fp_cap_one=fp_cap_one)
         assert np.isnan(curve.lambda_bound).all()

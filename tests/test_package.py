@@ -1,17 +1,24 @@
 """The package namespace: ``import cslbec`` loads only the numpy-free spec
-layer, and each numerical name resolves on first access.
+layer, and each numerical name resolves on first access.  The CLI's scalar
+commands never load numpy; its array commands do.
 
-Every check but the last runs in a fresh interpreter, so that no import
-made by an earlier test can hide one the package makes.
+Every check but the patch test runs in a fresh interpreter, so that no
+import made by an earlier test can hide one the package makes.
 """
 
+import contextlib
+import io
+import json
 import os
 import subprocess
 import sys
 import textwrap
 
+import pytest
+
 import cslbec
-from cslbec import inference
+from cslbec import cli, core, inference
+from cslbec.scenarios import SCENARIOS
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cslbec.__file__)))
 
@@ -29,8 +36,9 @@ EXPORTS = {
 }
 
 
-def run_fresh(body: str) -> None:
-    """Run ``body`` in a new interpreter that imports this cslbec."""
+def run_fresh(body: str) -> str:
+    """Run ``body`` in a new interpreter that imports this cslbec; its
+    stdout."""
     path = [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -38,6 +46,7 @@ def run_fresh(body: str) -> None:
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_spec_layer_loads_without_numpy(tmp_path):
@@ -99,3 +108,73 @@ def test_name_follows_a_patch_of_its_module(monkeypatch):
     assert cslbec.lambda_bound is patched
     monkeypatch.undo()
     assert cslbec.lambda_bound is original
+
+
+# numpy's lazy module object is in sys.modules from the first import of a
+# numerical layer on; its submodule numpy._core loads with numpy itself
+SCALAR_ARGV = [
+    ["scenarios"],
+    ["table1"],
+    ["bound", "--scenario", "rb-swi"],
+    ["repetitions", "--scenario", "rb-mzi", "--fp-cap-one"],
+    ["variance", "--scenario", "rb-swi-echo", "--lambda-hz", "1e-12"],
+    ["bound", "--spec", "{spec}", "--rc-m", "1e-6"],
+    ["repetitions", "--spec", "{spec}", "--rc-m", "1e-6"],
+    ["variance", "--spec", "{spec}", "--rc-m", "1e-6", "--lambda-hz",
+     "1e-12"],
+]
+ARRAY_ARGV = {
+    "curve": ["curve", "--scenario", "rb-swi", "--rc", "1e-8:1e-6:3"],
+    "geometry": ["geometry", "--scenario", "rb-mzi", "--rc", "1e-8:1e-6:3"],
+    "calibrate": ["calibrate", "--scenario", "rb-mzi", "--k", "200",
+                  "--n-meta", "10"],
+    "simulate": ["simulate", "--scenario", "rb-swi", "--lambda-hz", "1e-12",
+                 "--n-traj", "1000", "--n-steps", "1000"],
+}
+
+
+def test_scalar_commands_load_no_numpy(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(core.spec_to_dict(SCENARIOS["rb-swi"].spec)),
+                    encoding="utf-8")
+    argvs = [[arg.format(spec=path) for arg in argv] for argv in SCALAR_ARGV]
+    run_fresh(f"""
+        import contextlib, io, sys
+        from cslbec import cli
+        for argv in {argvs!r}:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.run(argv) == 0, argv
+            assert "numpy._core" not in sys.modules, argv
+    """)
+
+
+@pytest.mark.parametrize("command", sorted(ARRAY_ARGV))
+def test_array_commands_load_numpy(command):
+    run_fresh(f"""
+        import contextlib, io, sys
+        from cslbec import cli
+        assert "numpy._core" not in sys.modules
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run({ARRAY_ARGV[command]!r}) == 0
+        assert "numpy._core" in sys.modules
+    """)
+
+
+def test_fresh_simulate_equals_in_process():
+    # the fresh process first reads numpy in sde_sample, which runs two
+    # blocks on a thread pool; a short switch interval lets a worker
+    # preempt a half-loaded module
+    argv = ["simulate", "--scenario", "rb-swi", "--lambda-hz", "1e-12",
+            "--n-traj", "5000", "--n-steps", "1000", "--seed", "9"]
+    fresh = run_fresh(f"""
+        import sys
+        from cslbec import cli
+        assert "numpy._core" not in sys.modules
+        sys.setswitchinterval(1e-6)
+        assert cli.run({argv!r}) == 0
+    """)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.run(argv) == 0
+    assert fresh == out.getvalue()
+    assert json.loads(fresh)["mc_variance"] > 0
