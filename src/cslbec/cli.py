@@ -106,10 +106,7 @@ def _resolve(args):
         raise core.SpecError(f"{args.command} requires --rc-m (or a scenario)")
     if getattr(args, "lambda_min_hz", None) is not None:
         lambda_min = args.lambda_min_hz
-
-    violations = core.validate(spec)
-    if violations:
-        raise core.SpecError("; ".join(violations))
+    core._soft_warnings(spec)
     return spec, rc, lambda_min
 
 
@@ -381,7 +378,7 @@ output: JSON object keyed by scenario name; each entry has keys
 def _build_parser():
     raw = argparse.RawDescriptionHelpFormatter
     parser = argparse.ArgumentParser(
-        prog="cslbec",
+        prog="cslbec", allow_abbrev=False,
         description="Collapse-model exclusion bounds from two-mode BEC "
                     "interferometry.\n'cslbec COMMAND --help' names a "
                     "command's options, output and units.",
@@ -390,7 +387,7 @@ def _build_parser():
     for name, (func, summary, epilog) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary, description=summary,
                            epilog=epilog + "\n" + _EXIT_CODES,
-                           formatter_class=raw)
+                           formatter_class=raw, allow_abbrev=False)
         p.set_defaults(func=func)
         options = [(flag, group, kwargs, text)
                    for flag, commands, group, kwargs, text in _OPTIONS

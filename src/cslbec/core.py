@@ -4,8 +4,8 @@ All other modules consume the value objects defined here.  Unit conventions:
 angles in radians, times in seconds, lengths in meters, rates in Hz.  The
 JSON schema consumed by the CLI carries unit-suffixed field names (``t_s``,
 ``x0_m``, ...) to prevent silent unit mistakes; unknown keys are rejected.
-One table, ``_SCHEMA``, declares each field's key, attribute, JSON type and
-range: parsing, serialising and the per-field checks of ``validate`` read it.
+One table, ``_SCHEMA``, declares each field's key, attribute, type and
+range: parsing, serialising and the checks each spec runs when made read it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "NoiseModel",
     "ExperimentSpec",
     "SpecError",
-    "validate",
     "spec_from_dict",
     "spec_to_dict",
     "load_spec",
@@ -47,7 +46,7 @@ _MAX_SIGMA_PHI = math.pi / 3.0
 
 class SpecError(ValueError):
     """Raised for malformed experiment-spec input (bad JSON keys, types),
-    and by the library for a spec that ``validate`` refuses."""
+    and when an ``ExperimentSpec`` is made that breaks a rule."""
 
 
 def _lazy_numpy():
@@ -112,7 +111,7 @@ class SwiGeometry:
     w_y: float = None     # transverse Gaussian width, m; defaults to x0/sqrt(6)
 
     def __post_init__(self):
-        if self.w_y is None:
+        if self.w_y is None and _is_finite(self.x0):
             object.__setattr__(self, "w_y", self.x0 / math.sqrt(6.0))
 
 
@@ -123,9 +122,10 @@ class InitialState:
     sigma_n0: float = None  # number-difference spread; default sqrt(N)/xi0
 
     def __post_init__(self):
-        if self.sigma_n0 is None and self.n_atoms > 0 and self.xi0 > 0:
+        if (self.sigma_n0 is None and _is_int(self.n_atoms)
+                and _is_finite(self.xi0) and self.n_atoms > 0 and self.xi0 > 0):
             # minimum-uncertainty default: sigma_phi(0) * sigma_n(0) = 1;
-            # left None where it overflows, which ``validate`` reports
+            # left None where it overflows, which the spec's check reports
             sigma_n0 = math.sqrt(self.n_atoms) / self.xi0
             if math.isfinite(sigma_n0):
                 object.__setattr__(self, "sigma_n0", sigma_n0)
@@ -175,6 +175,11 @@ class ExperimentSpec:
     noise: NoiseModel = field(default_factory=NoiseModel)
     xi_t: float = None  # observed/assumed effective squeezing at time t
 
+    def __post_init__(self):  # valid by construction: see _violations
+        violations = _violations(self)
+        if violations:
+            raise SpecError("; ".join(violations))
+
     @property
     def sigma_phi0_sq(self) -> float:
         return self.state.xi0 ** 2 / self.state.n_atoms
@@ -193,6 +198,15 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """True for a finite real number, numpy's included; a bool is not one."""
+    try:
+        return (isinstance(value, numbers.Real)
+                and not isinstance(value, bool) and math.isfinite(value))
+    except OverflowError:  # an int past the float range
+        return False
+
+
 def _check_count(name: str, value, minimum: int) -> None:
     if not _is_int(value) or value < minimum:
         raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
@@ -205,13 +219,18 @@ def _check_seed(seed) -> None:
             f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
+def _check_finite(name: str, value: float) -> None:
+    if not _is_finite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _check_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
+    if not (_is_finite(value) and value > 0):
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def _check_nonnegative(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value >= 0):
+    if not (_is_finite(value) and value >= 0):
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
@@ -222,7 +241,7 @@ class _Field(NamedTuple):
 
     key: str               # JSON key, unit-suffixed
     attr: str              # dataclass attribute
-    kind: type = float     # float, int, bool or str: see _parse
+    kind: type = float     # float, int, bool or str: see _KINDS
     required: bool = True  # else the dataclass default applies
     rule: str = ""         # range rule, a key of _RULES
 
@@ -273,13 +292,21 @@ _RULES = {
     _UNMODELLED: lambda x: x == 0,
 }
 
-# the int kind is n_atoms: every formula divides by float(N)
-_JSON_TYPES = {
-    float: "a JSON number in the float range",
-    int: "an integral number in [-2**53, 2**53]",
-    bool: "a JSON boolean",
-    str: "a JSON string",
+# each kind's type in a spec file, and its test and name in a spec that is
+# made; the int kind is n_atoms: every formula divides by float(N)
+_KINDS = {
+    float: ("a JSON number in the float range", _is_finite, "finite"),
+    int: ("an integral number in [-2**53, 2**53]",
+          lambda x: _is_int(x) and _is_finite(x), "an int in the float range"),
+    # numpy's bool is named bool_ before numpy 2
+    bool: ("a JSON boolean", lambda x: type(x).__name__ in ("bool", "bool_"),
+           "a bool"),
+    str: ("a JSON string", lambda x: isinstance(x, str), "a str"),
 }
+
+# each group's dataclasses: a geometry is one of two
+_GROUP_TYPES = {group: tuple(c for g, _, c, _ in _SCHEMA if g == group)
+                for group, _, cls, _ in _SCHEMA if cls is not ExperimentSpec}
 
 
 def _groups(spec: ExperimentSpec):
@@ -290,25 +317,29 @@ def _groups(spec: ExperimentSpec):
             yield group, gtype, flds, obj
 
 
-def _violations(spec: ExperimentSpec) -> tuple:
-    """(messages, finite): the invariants ``spec`` violates, and whether
-    every field is finite.  The rules of ``validate``, without its warnings.
-    """
-    nonfinite, v = [], []
+def _violations(spec: ExperimentSpec) -> list:
+    """The rules ``spec`` breaks, one message each.  A group of the wrong
+    type and a field of the wrong kind, NaN or infinite are reported
+    alone: the other rules mean nothing for them."""
+    malformed = [f"{group} must be " + " or ".join(c.__name__ for c in types)
+                 for group, types in _GROUP_TYPES.items()
+                 if not isinstance(getattr(spec, group), types)]
+    v = []
     for group, _, flds, obj in _groups(spec):
         for f in flds:
             name = f.attr if obj is spec else f"{group}.{f.attr}"
             value = getattr(obj, f.attr)
-            if isinstance(value, float) and not math.isfinite(value):
-                nonfinite.append(f"{name} must be finite, got {value!r}")
-            elif f.rule and value is not None and not _RULES[f.rule](value):
+            _, is_kind, kind = _KINDS[f.kind]
+            if value is None and getattr(type(obj), f.attr, 0) is None:
+                continue  # None is this field's default: not given
+            if not is_kind(value):
+                malformed.append(f"{name} must be {kind}, got {value!r}")
+            elif f.rule and not _RULES[f.rule](value):
                 v.append(f"{name} must be {f.rule}")
-    if nonfinite:
-        return nonfinite, False
+    if malformed:
+        return malformed
 
-    g, s = spec.geometry, spec.state
-    if not isinstance(g, (MziGeometry, SwiGeometry)):
-        v.append("geometry must be MziGeometry or SwiGeometry")
+    s = spec.state
     for name, xi in (("xi0", s.xi0), ("xi_t", spec.xi_t)):
         if (xi is not None and s.n_atoms >= 2
                 and xi / math.sqrt(s.n_atoms) > _MAX_SIGMA_PHI):
@@ -319,44 +350,26 @@ def _violations(spec: ExperimentSpec) -> tuple:
                  "state.sigma_n0 = sqrt(N)/xi0 overflows")
     if spec.xi_t is not None and spec.xi_t < s.xi0:
         v.append("xi_t < xi0: observed narrowing is unphysical")
-    return v, True
+    return v
 
 
-def validate(spec: ExperimentSpec) -> list:
-    """Collect every violated invariant as a message; never raises.
-
-    A NaN or infinite number gives one violation per field, and then the
-    range checks are skipped: they mean nothing for such values.  Soft
-    conditions (MZI separation regime, echo with zero dispersion) emit a
-    ``UserWarning`` instead of a violation, where every field is finite.
-    ``CslPoint`` checks its own fields on construction.
-    """
-    violations, finite = _violations(spec)
+def _soft_warnings(spec: ExperimentSpec) -> None:
+    """Warn of an MZI separation not >> the mode width and of an echo with
+    zeta = 0; the CLI calls it, and making a spec does not."""
     g, p = spec.geometry, spec.protocol
-    if finite and isinstance(g, MziGeometry) and 0 < g.delta_x < 10.0 * g.w_x:
+    if isinstance(g, MziGeometry) and g.delta_x < 10.0 * g.w_x:
         warnings.warn("MZI geometry intended for delta_x >> w_x", stacklevel=2)
-    if finite and p.echo and p.zeta == 0:
+    if p.echo and p.zeta == 0:
         warnings.warn("echo protocol with zeta = 0 " + (
             "has no effect" if isinstance(g, MziGeometry) else
             "leaves the swi_echo bound no slope in lambda: it drops f_P, "
             "and no dispersion amplifies f_S"), stacklevel=2)
-    return violations
-
-
-def _check_spec(spec: ExperimentSpec) -> None:
-    """SpecError with every violation ``validate`` would return, joined by
-    "; ".  The library's entry points run it on every call, uncached: it
-    warns of nothing, and it costs microseconds.
-    """
-    violations, _ = _violations(spec)
-    if violations:
-        raise SpecError("; ".join(violations))
 
 
 def _parse(value, kind: type, name: str):
     """``value`` as a ``kind``; SpecError unless it is that JSON type.
 
-    NaN and infinities pass as floats, and ``validate`` names them.
+    NaN and infinities pass as floats, and the spec's own check names them.
     """
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind is float:
@@ -367,7 +380,7 @@ def _parse(value, kind: type, name: str):
     else:
         ok = isinstance(value, kind)
     if not ok:
-        raise SpecError(f"{name} must be {_JSON_TYPES[kind]}, got {value!r}")
+        raise SpecError(f"{name} must be {_KINDS[kind][0]}, got {value!r}")
     return kind(value)
 
 

@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 from .core import (_MAX_SIGMA_PHI, CslPoint, ExperimentSpec, Species,
-                   _check_spec, _lazy_numpy)
+                   _lazy_numpy)
 from .geometry import f_closed
 
 np = _lazy_numpy()
@@ -127,11 +127,8 @@ def propagator_parts(spec: ExperimentSpec) -> tuple:
     tau_k, exactly 0.0 for the echo, so no cancellation is left in its
     initial part.  Phase noise never feeds back into n, so the unit
     dephasing response is a phase variance t; the diffusion response
-    accumulates leg by leg from zero.  A spec that ``validate`` refuses
-    raises SpecError here, on the way of every forward-model and inference
-    entry.
+    accumulates leg by leg from zero.
     """
-    _check_spec(spec)
     legs = spec.protocol.legs(2)
     shear = sum(zeta * tau for zeta, tau, _ in legs)
     var_n = _square(spec.state.sigma_n0, "state.sigma_n0")
@@ -207,7 +204,6 @@ def echo_characteristic_closed(spec: ExperimentSpec, point: CslPoint
     The q*s cross term records the residual phi-n correlation left by the
     second leg; it does not affect either marginal.
     """
-    _check_spec(spec)
     r = rates(point, spec.species, spec.geometry)
     n, p = spec.state.n_atoms, spec.protocol
     d = n ** 2 * r.gamma_s * p.t / 2.0
@@ -221,7 +217,6 @@ def echo_characteristic_closed(spec: ExperimentSpec, point: CslPoint
 
 def visibility(spec: ExperimentSpec, point: CslPoint) -> float:
     """Interference contrast exp(-Gamma_P t / 2), times exp(-gamma t)."""
-    _check_spec(spec)
     r = rates(point, spec.species, spec.geometry)
     return (math.exp(-r.gamma_p * spec.protocol.t / 2.0)
             * math.exp(-spec.noise.gamma * spec.protocol.t))

@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 
 from .core import (ExperimentSpec, _check_count, _check_nonnegative,
-                   _check_positive, _check_seed, _is_int, _lazy_numpy)
+                   _check_positive, _check_seed, _lazy_numpy)
 from .dynamics import (_square, collapse_part, collapse_rates,
                        propagator_parts)
 from . import geometry
@@ -169,9 +169,8 @@ def exclusion_curve(spec: ExperimentSpec, mode: str, rc_grid,
     NaN marks exactly the points where ``lambda_bound`` raises: a negative
     excess variance, a zero slope or a bound past the float range.  A grid
     that is not 1-D, an r_C outside (0, 6.7e153 m], a mode other than
-    ``spec.mode``, a spec that ``validate`` refuses (SpecError) or a spec
-    without xi_t raises for the whole grid.  A negative excess gives all
-    NaN without a geometry factor.
+    ``spec.mode`` or a spec without xi_t raises for the whole grid.  A
+    negative excess gives all NaN without a geometry factor.
     """
     rc_grid = np.asarray(rc_grid, dtype=float)
     if rc_grid.ndim != 1:
@@ -285,13 +284,11 @@ def calibrate_estimator(spec: ExperimentSpec, rc: float, mode: str,
     finite and >= 0; k and n_meta (>= 2) must be ints, and a bool is not.
     """
     _check_nonnegative("lambda_true", lambda_true)
-    # a k that is not an int gets the count rule's message, not a TypeError
-    if _is_int(k) and not (k >= 100
-                           and math.sqrt(2 / (k - 1)) >= _MIN_CHI2_SPREAD):
-        raise ValueError(
-            "k must be >= 100 and below about 4e25, where the chi^2 "
-            f"spread sqrt(2/(k-1)) reaches 1e3 float epsilons; got k = {k!r}")
     _check_count("k", k, 100)
+    if math.sqrt(2 / (k - 1)) < _MIN_CHI2_SPREAD:
+        raise ValueError(
+            "k must be below about 4e25, where the chi^2 spread "
+            f"sqrt(2/(k-1)) reaches 1e3 float epsilons; got k = {k!r}")
     _check_count("n_meta", n_meta, 2)
     _check_seed(seed)
     split = variance_split(spec, rc, mode, fp_cap_one=fp_cap_one)

@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 
 from .core import (CslPoint, ExperimentSpec, Protocol, _check_count,
-                   _check_nonnegative, _check_seed, _check_spec, _lazy_numpy)
+                   _check_finite, _check_nonnegative, _check_seed, _lazy_numpy)
 from .dynamics import PhaseMoments, Rates, rates
 
 np = _lazy_numpy()
@@ -144,9 +144,8 @@ def sde_sample(spec: ExperimentSpec, point: CslPoint, n_traj: int,
     Gamma_S = 0.  A UserWarning asks for more steps when |bias| exceeds
     0.1 ``stderr_variance``, where the bias would begin to show against
     the sampling error.  n_traj and n_steps must be ints >= 1000, and a
-    bool is not an int.  A spec that ``validate`` refuses raises SpecError.
+    bool is not an int.
     """
-    _check_spec(spec)
     _check_count("n_traj", n_traj, 1000)
     _check_count("n_steps", n_steps, 1000)
     _check_seed(seed)
@@ -262,10 +261,10 @@ def coherent_spin_state(n_atoms: int, theta: float = math.pi / 2.0,
     """Coherent spin state |theta, phi>, theta in [0, pi]; the default
     points along +x."""
     _check_count("n_atoms", n_atoms, 1)
+    _check_finite("theta", theta)
     if not 0.0 <= theta <= math.pi:
         raise ValueError(f"theta must be in [0, pi], got {theta!r}")
-    if not math.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi!r}")
+    _check_finite("phi", phi)
     j = n_atoms / 2.0
     m, _ = _spin_bands(n_atoms)
     log_binom = np.array([
@@ -415,10 +414,8 @@ def dicke_evolve(n_atoms: int, r: Rates, zeta: float,
         raise ValueError(
             f"initial state has n_atoms = {initial.n_atoms}, but "
             f"n_atoms = {n_atoms} was asked for")
-    for name, value in (("zeta", zeta),
-                        ("epsilon_over_hbar", epsilon_over_hbar)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    _check_finite("zeta", zeta)
+    _check_finite("epsilon_over_hbar", epsilon_over_hbar)
     for name, value in (("t", t), ("r.gamma_p", r.gamma_p),
                         ("r.gamma_s", r.gamma_s)):
         _check_nonnegative(name, value)

@@ -528,6 +528,20 @@ class TestExitCodes:
         with pytest.raises(SystemExit):
             cli.run(["bound", "--scenario", "rb-mzi", "--frobnicate"])
 
+    # each used to run, as --lambda-min-hz, --lambda-hz and
+    # --scenario with --fp-cap-one, and exit 0
+    @pytest.mark.parametrize("argv", [
+        ["repetitions", "--scenario", "rb-mzi", "--lambda", "1e-10"],
+        ["variance", "--scenario", "rb-mzi", "--lambda", "1e-10"],
+        ["bound", "--scen", "rb-mzi", "--fp"],
+    ], ids=["repetitions", "variance", "bound"])
+    def test_flag_prefix_is_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert "unrecognized arguments: " in err
+
     # the spec's geometry and echo set the mode: a --mode could only
     # restate the spec or contradict it
     @pytest.mark.parametrize("command", ["bound", "curve", "repetitions",

@@ -4,9 +4,12 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 import warnings
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
 
@@ -22,10 +25,10 @@ from cslbec.core import (
     SpecError,
     Species,
     SwiGeometry,
+    _soft_warnings,
     load_spec,
     spec_from_dict,
     spec_to_dict,
-    validate,
 )
 from cslbec.scenarios import SCENARIOS
 
@@ -101,11 +104,21 @@ class TestProtocolLegs:
             Protocol(t=1.0, zeta=1.0, echo=echo).legs(n_steps)
 
 
-class TestValidate:
-    def test_valid_spec(self):
-        assert validate(make_spec()) == []
+def refused(message):
+    """pytest.raises for a SpecError whose message is exactly ``message``."""
+    return pytest.raises(SpecError, match=f"^{re.escape(message)}$")
 
-    # a CSL point checks its own fields, so no invalid one reaches validate
+
+class TestValidate:
+    """Every ExperimentSpec checks its rules once, when it is made."""
+
+    def test_valid_spec(self):
+        spec = make_spec()
+        assert replace(spec) == spec
+        for sc in SCENARIOS.values():
+            assert replace(sc.spec) == sc.spec
+
+    # a CSL point checks its own fields, so no invalid one reaches a model
     def test_rc_zero(self):
         with pytest.raises(ValueError, match="rc must be finite and > 0"):
             CslPoint(lam=1e-10, rc=0.0)
@@ -115,27 +128,34 @@ class TestValidate:
             CslPoint(lam=-1.0, rc=1e-7)
 
     @pytest.mark.parametrize("lam, rc", [(math.nan, 1e-7), (math.inf, 1e-7),
-                                         (1e-10, math.nan), (1e-10, math.inf)])
+                                         (1e-10, math.nan), (1e-10, math.inf),
+                                         ("1e-10", 1e-6), (1e-10, None)])
     def test_nonfinite_point(self, lam, rc):
+        # a str or None used to reach math.isfinite, a bare TypeError
         with pytest.raises(ValueError, match="must be finite"):
             CslPoint(lam=lam, rc=rc)
 
     def test_xi_t_below_xi0(self):
-        v = validate(make_spec(xi_t=0.5, state=InitialState(300_000, 1.0)))
-        assert any("xi_t < xi0" in msg for msg in v)
+        with refused("xi_t < xi0: observed narrowing is unphysical"):
+            make_spec(xi_t=0.5, state=InitialState(300_000, 1.0))
 
     def test_wide_initial_phase_rejected(self):
-        v = validate(make_spec(state=InitialState(n_atoms=4, xi0=3.0),
-                               xi_t=3.0))
-        assert any("pi^2/9" in msg for msg in v)
+        with refused("xi0^2/N exceeds pi^2/9: narrow-phase treatment "
+                     "invalid; xi_t^2/N exceeds pi^2/9: narrow-phase "
+                     "treatment invalid"):
+            make_spec(state=InitialState(n_atoms=4, xi0=3.0), xi_t=3.0)
 
+    # the soft conditions warn only where the CLI reads a spec
     def test_mzi_separation_warning(self):
+        spec = make_spec(geometry=MziGeometry(delta_x=1e-7, w_x=1e-7))
         with pytest.warns(UserWarning, match="delta_x"):
-            validate(make_spec(geometry=MziGeometry(delta_x=1e-7, w_x=1e-7)))
+            _soft_warnings(spec)
 
     def test_echo_without_zeta_warns(self):
-        with pytest.warns(UserWarning, match="echo"):
-            validate(make_spec(protocol=Protocol(t=1.0, echo=True)))
+        spec = make_spec(protocol=Protocol(t=1.0, echo=True))
+        with pytest.warns(UserWarning, match="^echo protocol with zeta = 0 "
+                                             "has no effect$"):
+            _soft_warnings(spec)
 
     @pytest.mark.parametrize("geometry, echo, mode", [
         (MziGeometry(delta_x=10e-6, w_x=100e-9), False, "mzi"),
@@ -156,33 +176,84 @@ class TestValidate:
                 r"^echo protocol with zeta = 0 leaves the swi_echo bound no "
                 r"slope in lambda: it drops f_P, and no dispersion "
                 r"amplifies f_S$")):
-            assert validate(spec) == []
+            _soft_warnings(spec)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", sorted(NONFINITE_SPECS))
     def test_nonfinite_field(self, name, value):
         # exactly one violation, naming the field, and no range messages
-        assert validate(NONFINITE_SPECS[name](value)) == [
-            f"{name} must be finite, got {value!r}"]
+        with refused(f"{name} must be finite, got {value!r}"):
+            NONFINITE_SPECS[name](value)
 
     def test_nonpositive_time(self):
-        v = validate(make_spec(protocol=Protocol(t=0.0)))
-        assert any("t must be positive" in msg for msg in v)
+        with refused("protocol.t must be positive"):
+            make_spec(protocol=Protocol(t=0.0))
 
     def test_phase_rule_reads_cos(self):
         # |cos(1.47)| = 0.1006 is read, |cos(-4.66)| = 0.052 is refused
-        assert validate(make_spec(protocol=Protocol(0.8, phase_mean=1.47),
-                                  noise=NoiseModel(gamma=50.0))) == []
-        (msg,) = validate(make_spec(protocol=Protocol(0.8, phase_mean=-4.66)))
-        assert msg.endswith("the readout carries no phase there")
+        make_spec(protocol=Protocol(0.8, phase_mean=1.47),
+                  noise=NoiseModel(gamma=50.0))
+        with refused("protocol.phase_mean must be off the zeros of cos "
+                     "(|cos| >= 0.1): the readout carries no phase there"):
+            make_spec(protocol=Protocol(0.8, phase_mean=-4.66))
+
+    # each of these used to reach the numerics: the old check raised a bare
+    # AttributeError or TypeError, passed the spec, or gave a bound (a NaN
+    # one for the float32 NaN), and echo="no" selected swi_echo
+    @pytest.mark.parametrize("group, field, value, message", [
+        ("state", None, None, "state must be InitialState"),
+        ("protocol", None, None, "protocol must be Protocol"),
+        ("species", None, None, "species must be Species"),
+        ("noise", None, None, "noise must be NoiseModel"),
+        # a fresh state: its default sigma_n0 used to compare N > 0 first
+        ("state", None, InitialState(n_atoms="300000", xi0=5.0),
+         "state.n_atoms must be an int in the float range, got '300000'"),
+        ("state", "n_atoms", 300000.0,
+         "state.n_atoms must be an int in the float range, got 300000.0"),
+        # not a float: it used to raise a bare OverflowError
+        ("state", "n_atoms", 10 ** 400,
+         f"state.n_atoms must be an int in the float range, got {10 ** 400}"),
+        ("protocol", "t", "0.5", "protocol.t must be finite, got '0.5'"),
+        ("protocol", "echo", "no", "protocol.echo must be a bool, got 'no'"),
+        (None, "xi_t", "200", "xi_t must be finite, got '200'"),
+        (None, "xi_t", np.float32("nan"),
+         "xi_t must be finite, got np.float32(nan)"),
+    ], ids=["state-None", "protocol-None", "species-None", "noise-None",
+            "n_atoms-str", "n_atoms-float", "n_atoms-huge", "t-str",
+            "echo-str", "xi_t-str", "xi_t-float32-nan"])
+    def test_kind_and_required_hold_when_made(self, group, field, value,
+                                              message):
+        spec = SCENARIOS["rb-swi"].spec
+        if group is None:
+            change = {field: value}
+        elif field is None:
+            change = {group: value}
+        else:
+            change = {group: replace(getattr(spec, group), **{field: value})}
+        with refused(message):
+            replace(spec, **change)
+
+    def test_numpy_scalars_are_accepted(self):
+        # numpy's bool, int and float are kinds as Python's are
+        spec = SCENARIOS["rb-swi"].spec
+        made = replace(spec, state=replace(spec.state,
+                                           n_atoms=np.int64(300000)),
+                       protocol=replace(spec.protocol, t=np.float32(0.5),
+                                        echo=np.bool_(True)))
+        assert made.mode == "swi_echo"
 
 
 class TestSerialization:
     def test_round_trip_validates_identically(self):
+        # a spec file refuses a broken rule with the message of the spec it
+        # would make
         spec = make_spec()
         clone = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
-        assert validate(clone) == validate(spec)
         assert clone == spec
+        d = spec_to_dict(spec)
+        d["observation"]["xi_t"] = 0.5
+        with refused("xi_t < xi0: observed narrowing is unphysical"):
+            spec_from_dict(d)
 
     def test_swi_round_trip(self):
         spec = make_spec(geometry=SwiGeometry(x0=100e-9),
@@ -308,12 +379,13 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def specs(draw):
-    """Dataclass specs over every field's range; validate may reject some.
+def spec_fields(draw):
+    """ExperimentSpec's keyword arguments over every field's range; a spec
+    refuses some of them.
 
-    Three specs in four draw xi0 and xi_t (at least xi0) at or below the
+    Three draws in four take xi0 and xi_t (at least xi0) at or below the
     narrow-phase limit pi/3 sqrt(N), so that enough specs are valid; the
-    fourth draws both anywhere, so that validate's refusal is met too.
+    fourth draws both anywhere, so that the refusal is met too.
     """
     n_atoms = draw(st.integers(2, 2 ** 53))
     narrow = draw(st.integers(0, 3)) > 0
@@ -325,7 +397,7 @@ def specs(draw):
         st.builds(MziGeometry, POSITIVE, POSITIVE, st.none() | POSITIVE)
         | st.builds(SwiGeometry, POSITIVE, st.none() | POSITIVE))
     state = InitialState(n_atoms, xi0, draw(st.none() | NONNEGATIVE))
-    return ExperimentSpec(
+    return dict(
         species=species,
         geometry=geometry,
         state=state,
@@ -334,6 +406,21 @@ def specs(draw):
         noise=NoiseModel(draw(NONNEGATIVE)),
         xi_t=draw(st.none() | st.floats(xi0, xi_max, allow_infinity=False)),
     )
+
+
+def made_spec(fields):
+    """The spec ``fields`` make, or None where it refuses them."""
+    try:
+        return ExperimentSpec(**fields)
+    except SpecError:
+        return None
+
+
+def spec_file(fields):
+    """The spec-file dict of ``fields``, also of fields a spec refuses."""
+    spec = object.__new__(ExperimentSpec)  # skips the spec's own check
+    spec.__dict__.update(fields)
+    return spec_to_dict(spec)
 
 
 def run_bound(d):
@@ -377,23 +464,19 @@ class TestSpecFuzz:
         except SpecError:
             return
         assert isinstance(spec, ExperimentSpec)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert all(isinstance(msg, str) for msg in validate(spec))
+        assert replace(spec) == spec
 
     @FUZZ
-    @given(damaged_specs() | specs().map(spec_to_dict))
+    @given(damaged_specs() | spec_fields().map(spec_file))
     def test_cli_exit_code(self, d):
         code, err = run_bound(d)
         assert code in (0, 2, 3)
         assert "Traceback" not in err
 
     @FUZZ
-    @given(specs())
+    @given(spec_fields().map(made_spec))
     def test_round_trip_of_valid_specs(self, spec):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assume(validate(spec) == [])
+        assume(spec is not None)
         d = json.loads(json.dumps(spec_to_dict(spec)))
         assert spec_from_dict(d) == spec
 

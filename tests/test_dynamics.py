@@ -214,7 +214,7 @@ class TestPropagatorParts:
     ZETA = (st.just(0.0) | st.floats(1e-3, 1e3)
             | st.floats(-1e3, -1e-3))
 
-    # xi0 <= 1.4 keeps xi0^2/N below pi^2/9 at N = 2, as validate asks;
+    # xi0 <= 1.4 keeps xi0^2/N below pi^2/9 at N = 2, as a spec asks;
     # the unit responses do not read xi0
     @settings(max_examples=200, deadline=None)
     @given(n_atoms=st.integers(2, 10 ** 9), xi0=st.floats(0.5, 1.4),
@@ -262,10 +262,11 @@ class TestPropagatorParts:
     ], ids=["propagator_parts", "phase_variance", "characteristic_function",
             "echo_characteristic_closed", "visibility"])
     def test_refuses_a_spec_validate_refuses(self, evaluate):
-        # N = 1 used to give a variance; validate asks N >= 2
-        spec = swi_spec(state=InitialState(n_atoms=1, xi0=1.0))
+        # N = 1 used to give a variance; now such a spec cannot be made, so
+        # each entry runs only on the valid spec it was derived from
         with pytest.raises(SpecError, match="^state.n_atoms must be >= 2$"):
-            evaluate(spec)
+            swi_spec(state=InitialState(n_atoms=1, xi0=1.0))
+        evaluate(swi_spec())
 
     def test_overflowing_unit_diffusion_is_named(self):
         # zeta^2 is finite, but N^2 zeta^2 t^3 is not: refused, not NaN

@@ -17,7 +17,6 @@ from cslbec.core import (
     Species,
     SpecError,
     SwiGeometry,
-    validate,
 )
 from cslbec.dynamics import phase_variance, propagator_parts
 from cslbec.geometry import f_closed, optimal_rc
@@ -64,24 +63,27 @@ def negative_excess(spec):
     With xi_t = xi0, the dispersion broadening (zeta t sigma_n0)^2 of a
     plain protocol is all of the negative excess; a spec without
     dispersion gets zeta = 1e-3 rad/s.  An echo's net shear is exactly 0,
-    so no echo spec with xi_t >= xi0, as ``validate`` asks, has one.
+    so no echo spec with xi_t >= xi0, as a spec must have, has one.
     """
     assert not spec.protocol.echo
     protocol = replace(spec.protocol, zeta=spec.protocol.zeta or 1e-3)
     return replace(spec, protocol=protocol, xi_t=spec.state.xi0)
 
 
-# a spec that validate refuses, as each of these, used to get an answer:
-# a NaN bound, 69.30 Hz, 7.28e-11 Hz, 3.85e-10 Hz and a ZeroDivisionError
+# each of these specs used to get an answer: a NaN bound, 69.30 Hz,
+# 7.28e-11 Hz, 3.85e-10 Hz and a ZeroDivisionError.  Now it cannot be
+# made: (the change to RB_SWI's spec, the message it is refused with)
 REFUSED_SPECS = {
-    "xi_t-nan": replace(RB_SWI.spec, xi_t=math.nan),
-    "n_atoms-1": replace(RB_SWI.spec,
-                         state=replace(RB_SWI.spec.state, n_atoms=1)),
-    "mass_u-negative": replace(RB_SWI.spec, species=Species("Rb-87", -87.0)),
-    "xi0-negative": replace(RB_SWI.spec, state=InitialState(
-        n_atoms=300_000, xi0=-5.0, sigma_n0=1.0)),
-    "t-negative": replace(RB_SWI.spec,
-                          protocol=replace(RB_SWI.spec.protocol, t=-0.5)),
+    "xi_t-nan": (dict(xi_t=math.nan), "xi_t must be finite, got nan"),
+    "n_atoms-1": (dict(state=replace(RB_SWI.spec.state, n_atoms=1)),
+                  "state.n_atoms must be >= 2"),
+    "mass_u-negative": (dict(species=Species("Rb-87", -87.0)),
+                        "species.mass_u must be positive"),
+    "xi0-negative": (dict(state=InitialState(n_atoms=300_000, xi0=-5.0,
+                                             sigma_n0=1.0)),
+                     "state.xi0 must be positive"),
+    "t-negative": (dict(protocol=replace(RB_SWI.spec.protocol, t=-0.5)),
+                   "protocol.t must be positive"),
 }
 
 PAPER_K = {"rb-mzi": 2086, "rb-swi": 3381, "cs-mzi": 1033,
@@ -263,18 +265,17 @@ class TestLambdaBound:
             protocol=Protocol(t=1.0, zeta=1e-3),
             noise=NoiseModel(),
             xi_t=1.2,
-        )
-        assert validate(spec) == []
+        )  # a valid spec: making it raised nothing
         with pytest.raises(ExcessVarianceError):
             lambda_bound(spec, 1e-6, "mzi")
 
     @pytest.mark.parametrize("name", sorted(REFUSED_SPECS))
     def test_refuses_a_spec_validate_refuses(self, name):
-        spec = REFUSED_SPECS[name]
-        message = "; ".join(validate(spec))
-        assert message
+        # each of these used to give a bound or an arithmetic error; now
+        # the spec cannot be made
+        change, message = REFUSED_SPECS[name]
         with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
-            lambda_bound(spec, RB_SWI.rc, RB_SWI.mode)
+            replace(RB_SWI.spec, **change)
 
     @pytest.mark.parametrize("entry", [
         lambda spec: variance_split(spec, RB_SWI.rc, RB_SWI.mode),
@@ -287,8 +288,12 @@ class TestLambdaBound:
     ], ids=["variance_split", "exclusion_curve", "repetitions",
             "calibrate_estimator"])
     def test_every_entry_refuses_an_invalid_spec(self, entry):
+        # no entry checks its spec: the invalid one cannot be made, so each
+        # entry runs only on the valid spec it was derived from
+        change, _ = REFUSED_SPECS["n_atoms-1"]
         with pytest.raises(SpecError, match="^state.n_atoms must be >= 2$"):
-            entry(REFUSED_SPECS["n_atoms-1"])
+            replace(RB_SWI.spec, **change)
+        entry(RB_SWI.spec)
 
     def test_requires_xi_t(self):
         spec = ExperimentSpec(
@@ -620,6 +625,10 @@ class TestRepetitions:
         with pytest.raises(ValueError):
             repetitions(RB_MZI.spec, 1e-6, "mzi", lambda_min=1e-10,
                         delta=0.0)
+        # a str used to raise a bare TypeError
+        with pytest.raises(ValueError, match="^lambda_min must be finite "
+                                             "and > 0, got '1e-10'$"):
+            repetitions(RB_MZI.spec, 1e-6, "mzi", lambda_min="1e-10")
 
 
 class TestTable1:
@@ -695,7 +704,9 @@ class TestCalibrateEstimator:
         assert a.lambda_hat_spread == b.lambda_hat_spread
         assert a.lambda_hat_spread != c.lambda_hat_spread
 
-    @pytest.mark.parametrize("lambda_true", [math.nan, math.inf, -1e-10])
+    # "1e-10" and None used to raise a bare TypeError
+    @pytest.mark.parametrize("lambda_true", [math.nan, math.inf, -1e-10,
+                                             "1e-10", None])
     def test_refuses_bad_lambda_true(self, lambda_true):
         with pytest.raises(ValueError, match="lambda_true must be finite "
                                              "and >= 0"):
@@ -703,10 +714,19 @@ class TestCalibrateEstimator:
                                 lambda_true, 200, seed=1)
 
     def test_requires_minimum_k(self):
-        # below 100; sqrt(2/(k-1)) under 1e3 float epsilons, where the
-        # spread would be float rounding; beyond the float range
-        for k in (50, 10 ** 26, 10 ** 40, 10 ** 400):
-            with pytest.raises(ValueError, match=f"k must be.*got k = {k}"):
+        # below 100 the count rule refuses an int as it does a float; the
+        # ceiling refuses sqrt(2/(k-1)) under 1e3 float epsilons, where
+        # the spread would be float rounding, and k beyond the float range
+        for k in (50, 50.0):
+            with pytest.raises(ValueError, match=(
+                    f"^k must be an int >= 100, got {k!r}$")):
+                calibrate_estimator(self.make_unit_spec(), OPT, "swi_plain",
+                                    0.01, k, seed=1)
+        for k in (10 ** 26, 10 ** 40, 10 ** 400):
+            with pytest.raises(ValueError, match=(
+                    r"^k must be below about 4e25, where the chi\^2 spread "
+                    rf"sqrt\(2/\(k-1\)\) reaches 1e3 float epsilons; "
+                    rf"got k = {k}$")):
                 calibrate_estimator(self.make_unit_spec(), OPT, "swi_plain",
                                     0.01, k, seed=1)
         calibrate_estimator(self.make_unit_spec(), OPT, "swi_plain", 0.01,

@@ -166,10 +166,10 @@ class TestSdeSample:
             sde_sample(spec, CslPoint(0.0, OPT), 1000, 2000.0, 1)
 
     def test_refuses_a_spec_validate_refuses(self):
-        # t < 0 used to run, with Euler steps of negative duration
-        spec = swi_unit_spec(10_000, 1.0, -1.0, 1.0)
+        # t < 0 used to run, with Euler steps of negative duration; now
+        # such a spec cannot be made
         with pytest.raises(SpecError, match="^protocol.t must be positive$"):
-            sde_sample(spec, CslPoint(0.0, OPT), 1000, 1000, 1)
+            swi_unit_spec(10_000, 1.0, -1.0, 1.0)
 
     def test_no_dynamics(self):
         spec = swi_unit_spec(10_000, 1.0, 1.0, 0.0)
@@ -402,7 +402,7 @@ class TestCoherentSpinState:
     @pytest.mark.parametrize("theta, phi, name", [
         (4.0, 0.0, "theta"), (-1.2, 0.0, "theta"), (math.nan, 0.0, "theta"),
         (math.inf, 0.0, "theta"), (1.2, math.nan, "phi"),
-        (1.2, -math.inf, "phi")])
+        (1.2, -math.inf, "phi"), (1.2, "0", "phi"), ("1", 0.0, "theta")])
     def test_angle_outside_its_range_is_refused(self, theta, phi, name):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             coherent_spin_state(20, theta=theta, phi=phi)
@@ -584,7 +584,10 @@ class TestDickeEvolve:
         # silently where Gamma_S = 0; True ran one step
         ("n_steps", {"n_steps": 10.0}),
         ("n_steps", {"n_steps": 10.0, "r": Rates(0.1, 0.0)}),
-        ("n_steps", {"n_steps": True})])
+        ("n_steps", {"n_steps": True}),
+        # a str used to raise a bare TypeError
+        ("t", {"t": "1"}), ("zeta", {"zeta": "0"}),
+        ("epsilon_over_hbar", {"epsilon_over_hbar": None})])
     def test_bad_argument_is_named(self, name, changes):
         args = dict(n_atoms=4, r=Rates(0.1, 0.1), zeta=0.0,
                     epsilon_over_hbar=0.0, initial=coherent_spin_state(4),

@@ -52,14 +52,19 @@ def run_fresh(body: str) -> str:
 def test_spec_layer_loads_without_numpy(tmp_path):
     path = tmp_path / "spec.json"
     run_fresh(f"""
-        import json, sys
+        import dataclasses, json, sys
         import cslbec
         from cslbec import core, scenarios
         spec = scenarios.SCENARIOS["rb-mzi"].spec
         with open({str(path)!r}, "w", encoding="utf-8") as f:
             json.dump(core.spec_to_dict(spec), f)
         assert core.load_spec({str(path)!r}) == spec
-        assert core.validate(spec) == []
+        try:
+            dataclasses.replace(spec, xi_t=0.5)
+        except core.SpecError as exc:
+            assert str(exc) == "xi_t < xi0: observed narrowing is unphysical"
+        else:
+            raise AssertionError("a spec with xi_t < xi0 was made")
         assert cslbec.SCENARIOS is scenarios.SCENARIOS
         loaded = sorted(m for m in sys.modules
                         if m == "numpy" or m.startswith("cslbec."))
