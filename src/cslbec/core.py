@@ -112,7 +112,7 @@ class SwiGeometry:
 
     def __post_init__(self):
         if self.w_y is None and _is_finite(self.x0):
-            object.__setattr__(self, "w_y", self.x0 / math.sqrt(6.0))
+            object.__setattr__(self, "w_y", float(self.x0) / math.sqrt(6.0))
 
 
 @dataclass(frozen=True)
@@ -125,8 +125,9 @@ class InitialState:
         if (self.sigma_n0 is None and _is_int(self.n_atoms)
                 and _is_finite(self.xi0) and self.n_atoms > 0 and self.xi0 > 0):
             # minimum-uncertainty default: sigma_phi(0) * sigma_n(0) = 1;
-            # left None where it overflows, which the spec's check reports
-            sigma_n0 = math.sqrt(self.n_atoms) / self.xi0
+            # left None where it overflows, which the spec's check reports;
+            # a float, also for numpy's scalars
+            sigma_n0 = math.sqrt(self.n_atoms) / float(self.xi0)
             if math.isfinite(sigma_n0):
                 object.__setattr__(self, "sigma_n0", sigma_n0)
 
@@ -292,16 +293,26 @@ _RULES = {
     _UNMODELLED: lambda x: x == 0,
 }
 
-# each kind's type in a spec file, and its test and name in a spec that is
-# made; the int kind is n_atoms: every formula divides by float(N)
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# each kind's test and name in a spec file, then in a made spec, where
+# numpy's scalars count too; the kind itself converts.  NaN and infinities
+# pass as floats in a spec file, and the spec's own check names them.  The
+# int kind is n_atoms: every formula divides by float(N)
 _KINDS = {
-    float: ("a JSON number in the float range", _is_finite, "finite"),
-    int: ("an integral number in [-2**53, 2**53]",
+    float: (lambda x: _is_number(x) and (isinstance(x, float)
+                                         or abs(x) <= sys.float_info.max),
+            "a JSON number in the float range", _is_finite, "finite"),
+    int: (lambda x: _is_number(x) and abs(x) <= 2 ** 53 and x % 1 == 0,
+          "an integral number in [-2**53, 2**53]",
           lambda x: _is_int(x) and _is_finite(x), "an int in the float range"),
-    # numpy's bool is named bool_ before numpy 2
-    bool: ("a JSON boolean", lambda x: type(x).__name__ in ("bool", "bool_"),
-           "a bool"),
-    str: ("a JSON string", lambda x: isinstance(x, str), "a str"),
+    bool: (lambda x: isinstance(x, bool), "a JSON boolean",
+           lambda x: type(x).__name__ == "bool", "a bool"),
+    str: (lambda x: isinstance(x, str), "a JSON string",
+          lambda x: isinstance(x, str), "a str"),
 }
 
 # each group's dataclasses: a geometry is one of two
@@ -329,7 +340,7 @@ def _violations(spec: ExperimentSpec) -> list:
         for f in flds:
             name = f.attr if obj is spec else f"{group}.{f.attr}"
             value = getattr(obj, f.attr)
-            _, is_kind, kind = _KINDS[f.kind]
+            *_, is_kind, kind = _KINDS[f.kind]
             if value is None and getattr(type(obj), f.attr, 0) is None:
                 continue  # None is this field's default: not given
             if not is_kind(value):
@@ -367,20 +378,10 @@ def _soft_warnings(spec: ExperimentSpec) -> None:
 
 
 def _parse(value, kind: type, name: str):
-    """``value`` as a ``kind``; SpecError unless it is that JSON type.
-
-    NaN and infinities pass as floats, and the spec's own check names them.
-    """
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if kind is float:
-        ok = number and (isinstance(value, float)
-                         or abs(value) <= sys.float_info.max)
-    elif kind is int:
-        ok = number and abs(value) <= 2 ** 53 and value % 1 == 0
-    else:
-        ok = isinstance(value, kind)
-    if not ok:
-        raise SpecError(f"{name} must be {_KINDS[kind][0]}, got {value!r}")
+    """``value`` as a ``kind``; SpecError unless it is that JSON type."""
+    is_kind, kind_name, *_ = _KINDS[kind]
+    if not is_kind(value):
+        raise SpecError(f"{name} must be {kind_name}, got {value!r}")
     return kind(value)
 
 
@@ -422,14 +423,16 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:
-    """The JSON form of ``spec``; fields that are None are left out."""
+    """The JSON form of ``spec``, each field as its kind's JSON type, so
+    numpy scalars are written as plain numbers; fields that are None are
+    left out."""
     d = {}
     for group, gtype, flds, obj in _groups(spec):
         out = {} if gtype is None else {"type": gtype}
         for f in flds:
             value = getattr(obj, f.attr)
             if value is not None:
-                out[f.key] = value
+                out[f.key] = f.kind(value)
         if out:
             d[group] = out
     return d

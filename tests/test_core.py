@@ -82,6 +82,15 @@ class TestDefaults:
         g = SwiGeometry(x0=6e-7)
         assert g.w_y == pytest.approx(6e-7 / math.sqrt(6), rel=1e-12, abs=0)
 
+    def test_defaults_are_floats_for_numpy_scalars(self):
+        # a float32 xi0 used to give a float32 sigma_n0, and a float64 xi0
+        # whose sigma_n0 overflows a numpy RuntimeWarning
+        s = InitialState(n_atoms=np.int64(300_000), xi0=np.float32(0.9))
+        assert type(s.sigma_n0) is float
+        assert s.sigma_n0 == math.sqrt(300_000) / float(np.float32(0.9))
+        assert InitialState(300_000, np.float64(5e-324)).sigma_n0 is None
+        assert type(SwiGeometry(x0=np.float32(6e-7)).w_y) is float
+
     def test_explicit_sigma_n0_kept(self):
         s = InitialState(n_atoms=100, xi0=1.0, sigma_n0=3.0)
         assert s.sigma_n0 == 3.0
@@ -181,13 +190,29 @@ class TestValidate:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", sorted(NONFINITE_SPECS))
     def test_nonfinite_field(self, name, value):
-        # exactly one violation, naming the field, and no range messages
+        # exactly one violation, naming the field, and no range messages;
+        # xi_t = nan used to give a NaN bound
         with refused(f"{name} must be finite, got {value!r}"):
             NONFINITE_SPECS[name](value)
 
     def test_nonpositive_time(self):
         with refused("protocol.t must be positive"):
             make_spec(protocol=Protocol(t=0.0))
+
+    # each of these used to get an answer: N = 1 a variance and a 69.30 Hz
+    # bound, the negative mass 7.28e-11 Hz and the negative xi0 3.85e-10
+    # Hz; t < 0 gave a ZeroDivisionError in the bound, and SDE runs with
+    # Euler steps of negative duration
+    @pytest.mark.parametrize("group, change, message", [
+        ("state", dict(n_atoms=1), "state.n_atoms must be >= 2"),
+        ("species", dict(mass_u=-87.0), "species.mass_u must be positive"),
+        ("state", dict(xi0=-5.0, sigma_n0=1.0), "state.xi0 must be positive"),
+        ("protocol", dict(t=-0.5), "protocol.t must be positive"),
+    ], ids=["n_atoms-1", "mass_u-negative", "xi0-negative", "t-negative"])
+    def test_range_rule_holds_when_made(self, group, change, message):
+        spec = SCENARIOS["rb-swi"].spec
+        with refused(message):
+            replace(spec, **{group: replace(getattr(spec, group), **change)})
 
     def test_phase_rule_reads_cos(self):
         # |cos(1.47)| = 0.1006 is read, |cos(-4.66)| = 0.052 is refused
@@ -241,6 +266,9 @@ class TestValidate:
                        protocol=replace(spec.protocol, t=np.float32(0.5),
                                         echo=np.bool_(True)))
         assert made.mode == "swi_echo"
+        # a spec file holds them as plain JSON values
+        d = json.loads(json.dumps(spec_to_dict(made)))
+        assert spec_from_dict(d) == made
 
 
 class TestSerialization:
@@ -373,25 +401,33 @@ def damaged_specs(draw):
     return d
 
 
-POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
+def or_numpy(strategy, scalar):
+    """``strategy``'s values, some of them as numpy's ``scalar`` type."""
+    return strategy | strategy.map(scalar)
+
+
+POSITIVE = or_numpy(st.floats(min_value=0.0, exclude_min=True,
+                              allow_infinity=False), np.float64)
+NONNEGATIVE = or_numpy(st.floats(min_value=0.0, allow_infinity=False),
+                       np.float64)
+FINITE = or_numpy(st.floats(allow_nan=False, allow_infinity=False),
+                  np.float64)
 
 
 @st.composite
 def spec_fields(draw):
     """ExperimentSpec's keyword arguments over every field's range; a spec
-    refuses some of them.
+    refuses some of them.  Some numbers and echo flags are numpy's scalars.
 
     Three draws in four take xi0 and xi_t (at least xi0) at or below the
     narrow-phase limit pi/3 sqrt(N), so that enough specs are valid; the
     fourth draws both anywhere, so that the refusal is met too.
     """
-    n_atoms = draw(st.integers(2, 2 ** 53))
+    n_atoms = draw(or_numpy(st.integers(2, 2 ** 53), np.int64))
     narrow = draw(st.integers(0, 3)) > 0
     xi_max = math.pi / 3.0 * math.sqrt(n_atoms) if narrow else None
-    xi0 = draw(st.floats(0.0, xi_max, exclude_min=True,
-                         allow_infinity=False))
+    xi0 = draw(or_numpy(st.floats(0.0, xi_max, exclude_min=True,
+                                  allow_infinity=False), np.float64))
     species = Species(draw(st.text(max_size=8)), draw(POSITIVE))
     geometry = draw(
         st.builds(MziGeometry, POSITIVE, POSITIVE, st.none() | POSITIVE)
@@ -401,10 +437,12 @@ def spec_fields(draw):
         species=species,
         geometry=geometry,
         state=state,
-        protocol=Protocol(draw(POSITIVE), draw(FINITE), draw(st.booleans()),
+        protocol=Protocol(draw(POSITIVE), draw(FINITE),
+                          draw(or_numpy(st.booleans(), np.bool_)),
                           draw(FINITE)),
         noise=NoiseModel(draw(NONNEGATIVE)),
-        xi_t=draw(st.none() | st.floats(xi0, xi_max, allow_infinity=False)),
+        xi_t=draw(st.none() | or_numpy(
+            st.floats(xi0, xi_max, allow_infinity=False), np.float64)),
     )
 
 
@@ -477,8 +515,13 @@ class TestSpecFuzz:
     @given(spec_fields().map(made_spec))
     def test_round_trip_of_valid_specs(self, spec):
         assume(spec is not None)
-        d = json.loads(json.dumps(spec_to_dict(spec)))
-        assert spec_from_dict(d) == spec
+        d = spec_to_dict(spec)
+        # each value as its kind's Python type, numpy's scalars included
+        kinds = {"n_atoms": int, "echo": bool, "name": str, "type": str}
+        for group in d.values():
+            for key, value in group.items():
+                assert type(value) is kinds.get(key, float)
+        assert spec_from_dict(json.loads(json.dumps(d))) == spec
 
 
 def test_species_constants():
