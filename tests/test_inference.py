@@ -15,6 +15,7 @@ from cslbec.core import (
     Protocol,
     RUBIDIUM_87,
     Species,
+    SpecError,
     SwiGeometry,
 )
 from cslbec.dynamics import phase_variance, propagator_parts
@@ -68,6 +69,22 @@ def negative_excess(spec):
     protocol = replace(spec.protocol, zeta=spec.protocol.zeta or 1e-3)
     return replace(spec, protocol=protocol, xi_t=spec.state.xi0)
 
+
+# each of these specs used to get an answer: a NaN bound, 69.30 Hz,
+# 7.28e-11 Hz, 3.85e-10 Hz and a ZeroDivisionError.  Now it cannot be
+# made: (the change to RB_SWI's spec, the message it is refused with)
+REFUSED_SPECS = {
+    "xi_t-nan": (dict(xi_t=math.nan), "xi_t must be finite, got nan"),
+    "n_atoms-1": (dict(state=replace(RB_SWI.spec.state, n_atoms=1)),
+                  "state.n_atoms must be >= 2"),
+    "mass_u-negative": (dict(species=Species("Rb-87", -87.0)),
+                        "species.mass_u must be positive"),
+    "xi0-negative": (dict(state=InitialState(n_atoms=300_000, xi0=-5.0,
+                                             sigma_n0=1.0)),
+                     "state.xi0 must be positive"),
+    "t-negative": (dict(protocol=replace(RB_SWI.spec.protocol, t=-0.5)),
+                   "protocol.t must be positive"),
+}
 
 PAPER_K = {"rb-mzi": 2086, "rb-swi": 3381, "cs-mzi": 1033,
            "rb-swi-echo": 3065}
@@ -251,6 +268,32 @@ class TestLambdaBound:
         )  # a valid spec: making it raised nothing
         with pytest.raises(ExcessVarianceError):
             lambda_bound(spec, 1e-6, "mzi")
+
+    @pytest.mark.parametrize("name", sorted(REFUSED_SPECS))
+    def test_refuses_a_spec_validate_refuses(self, name):
+        # each of these used to give a bound or an arithmetic error; now
+        # the spec cannot be made
+        change, message = REFUSED_SPECS[name]
+        with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
+            replace(RB_SWI.spec, **change)
+
+    @pytest.mark.parametrize("entry", [
+        lambda spec: variance_split(spec, RB_SWI.rc, RB_SWI.mode),
+        lambda spec: exclusion_curve(spec, RB_SWI.mode, [1e-7, 1e-6]),
+        lambda spec: repetitions(spec, RB_SWI.rc, RB_SWI.mode,
+                                 lambda_min=1e-10),
+        lambda spec: calibrate_estimator(spec, RB_SWI.rc, RB_SWI.mode,
+                                         lambda_true=1e-10, k=1000, seed=1,
+                                         n_meta=10),
+    ], ids=["variance_split", "exclusion_curve", "repetitions",
+            "calibrate_estimator"])
+    def test_every_entry_refuses_an_invalid_spec(self, entry):
+        # no entry checks its spec: the invalid one cannot be made, so each
+        # entry runs only on the valid spec it was derived from
+        change, _ = REFUSED_SPECS["n_atoms-1"]
+        with pytest.raises(SpecError, match="^state.n_atoms must be >= 2$"):
+            replace(RB_SWI.spec, **change)
+        entry(RB_SWI.spec)
 
     def test_requires_xi_t(self):
         spec = ExperimentSpec(

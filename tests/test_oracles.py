@@ -18,6 +18,7 @@ from cslbec.core import (
     NoiseModel,
     Protocol,
     Species,
+    SpecError,
     SwiGeometry,
 )
 from cslbec.dynamics import Rates, phase_variance, rates
@@ -162,6 +163,12 @@ class TestSdeSample:
             sde_sample(spec, CslPoint(0.0, OPT), 1000.5, 1000, 1)
         with pytest.raises(ValueError, match="^n_steps must be an int"):
             sde_sample(spec, CslPoint(0.0, OPT), 1000, 2000.0, 1)
+
+    def test_refuses_a_spec_validate_refuses(self):
+        # t < 0 used to run, with Euler steps of negative duration; now
+        # such a spec cannot be made
+        with pytest.raises(SpecError, match="^protocol.t must be positive$"):
+            swi_unit_spec(10_000, 1.0, -1.0, 1.0)
 
     def test_no_dynamics(self):
         spec = swi_unit_spec(10_000, 1.0, 1.0, 0.0)
