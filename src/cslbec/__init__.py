@@ -3,8 +3,9 @@
 ``import cslbec`` loads only the spec layer: the ``core`` types and
 ``SCENARIOS``, which need no numpy.  The numerical names (``dynamics``,
 ``geometry``, ``inference`` and what they export here) resolve on first
-access, and the first of them imports numpy.  Each access returns the
-submodule's current attribute, so a name patched there is seen here too.
+access; they bind numpy lazily, and numpy loads on its first attribute
+access.  Each access returns the submodule's current attribute, so a
+name patched there is seen here too.
 """
 
 from importlib import import_module as _import_module

@@ -10,10 +10,11 @@ vector q:
 
 Both modes of either geometry share the transverse Gaussian factor
 exp(-q_y^2 w_y^2 / 2), so each integral is a q_x integral times one shared
-q_y integral.  Closed forms exist for both geometries at any widths; the
-numerical quadrature here is their independent cross-check.  Each closed
-form is written once: the MZI's f_P, and the single-well f_S, whose f_P
-follows from the exact ratio f_P / f_S = 3 x0^2 / (8 (r_C^2 + x0^2)).
+q_y integral, which is exact: sqrt(pi / (r_C^2 + w_y^2)).  Closed forms
+exist for both geometries at any widths; the numerical quadrature here is
+their independent cross-check.  Each closed form is written once: the
+MZI's f_P, and the single-well f_S, whose f_P follows from the exact ratio
+f_P / f_S = 3 x0^2 / (8 (r_C^2 + x0^2)).
 ``f_closed`` runs both, and the inference runs only those its mode reads.
 """
 
@@ -268,31 +269,28 @@ def _axis_rule(total_scale: float, osc: float, refine: bool):
 
 
 def _quad_once(overlaps: OverlapMatrix, rc: float, refine: bool):
-    """f_P and f_S as (qx sum) * (shared qy sum), each a 1D rule."""
+    """f_P and f_S as a qx sum, one 1D rule, times the shared qy integral,
+    which is exact: int dqy exp(-qy^2 sy^2) = sqrt(pi) / sy."""
     sx = math.sqrt(rc ** 2 + overlaps.scale_x ** 2)
     sy = math.sqrt(rc ** 2 + overlaps.w_y ** 2)
     vx, wx = _axis_rule(sx, overlaps.osc_x, refine)
-    vy, wy = _axis_rule(sy, 0.0, refine)
 
     qx = vx / sx
-    qy = vy / sy
     # residual Gaussian weight after pulling exp(-v^2) into the rule
     wwx = wx * np.exp(-(qx ** 2) * (rc ** 2 - sx ** 2))
-    wwy = wy * np.exp(-(qy ** 2) * (rc ** 2 - sy ** 2))
-    y_sum = np.sum(wwy * np.exp(-(qy ** 2) * overlaps.w_y ** 2))
 
     d = overlaps.w_diff(qx)
     e = overlaps.w_ab(qx) + overlaps.w_ba(qx)
     f_p = np.sum(wwx * (d.real ** 2 + d.imag ** 2))
     f_s = np.sum(wwx * (e.real ** 2 + e.imag ** 2))
-    pref = rc ** 2 / (2.0 * math.pi * sx * sy) * y_sum
+    pref = rc ** 2 / (2.0 * math.sqrt(math.pi) * sx * sy)
     return float(pref * f_p), float(pref * f_s)
 
 
 def f_quadrature(overlaps: OverlapMatrix, rc: float) -> GeometryFactors:
     """Numerically integrate the defining f_P/f_S integrals.
 
-    Computes each axis with the working rule and a refined rule; raises
+    Sums qx with the working and a refined rule (qy is exact); raises
     QuadratureError if the two disagree beyond ``_REL_TOL`` relatively, and
     otherwise returns the larger disagreement as ``error``.
     """

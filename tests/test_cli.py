@@ -379,6 +379,20 @@ class TestSpecFiles:
         assert err.startswith(
             "numerical failure: lambda_bound overflows the float range")
 
+    @pytest.mark.parametrize("argv,message", [
+        (["bound"], "bound requires --rc-m (or a scenario)"),
+        (["repetitions"], "repetitions requires --rc-m (or a scenario)"),
+        (["calibrate", "--rc-m", "1e-6"],
+         "calibrate requires --lambda-min-hz (or a scenario)"),
+    ], ids=["bound", "repetitions", "calibrate"])
+    def test_spec_file_without_a_working_value_is_config_error(
+            self, capsys, tmp_path, argv, message):
+        # a scenario supplies rc and lambda_min; a spec file supplies neither
+        path = write_spec(tmp_path)
+        code, out, err = run_capture(capsys, [*argv, "--spec", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
     def test_misspelled_key_is_config_error(self, capsys, tmp_path):
         def mutate(d):
             d["protocol"]["time"] = d["protocol"].pop("t_s")

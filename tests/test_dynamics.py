@@ -13,7 +13,6 @@ from cslbec.core import (
     Protocol,
     RUBIDIUM_87,
     Species,
-    SpecError,
     SwiGeometry,
 )
 from cslbec.dynamics import (
@@ -251,22 +250,6 @@ class TestPropagatorParts:
         var = phase_variance(sc.spec, point).variance
         assert expected > 1e308
         assert var == pytest.approx(expected, rel=1e-12, abs=0)
-
-    @pytest.mark.parametrize("evaluate", [
-        propagator_parts,
-        lambda spec: phase_variance(spec, CslPoint(1e-10, 1e-6)),
-        lambda spec: characteristic_function(spec, CslPoint(1e-10, 1e-6),
-                                             1.0, 0.0),
-        lambda spec: echo_characteristic_closed(spec, CslPoint(1e-10, 1e-6)),
-        lambda spec: visibility(spec, CslPoint(1e-10, 1e-6)),
-    ], ids=["propagator_parts", "phase_variance", "characteristic_function",
-            "echo_characteristic_closed", "visibility"])
-    def test_refuses_a_spec_validate_refuses(self, evaluate):
-        # N = 1 used to give a variance; now such a spec cannot be made, so
-        # each entry runs only on the valid spec it was derived from
-        with pytest.raises(SpecError, match="^state.n_atoms must be >= 2$"):
-            swi_spec(state=InitialState(n_atoms=1, xi0=1.0))
-        evaluate(swi_spec())
 
     def test_overflowing_unit_diffusion_is_named(self):
         # zeta^2 is finite, but N^2 zeta^2 t^3 is not: refused, not NaN

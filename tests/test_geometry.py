@@ -190,6 +190,18 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="rc must be finite and > 0"):
             evaluate(rc)
 
+    @pytest.mark.parametrize("geom", [MZI, SWI], ids=["mzi", "swi"])
+    def test_zero_dim_array_is_a_scalar(self, geom):
+        f = f_closed(geom, np.array(1e-6))
+        assert type(f.f_p) is float and type(f.f_s) is float
+        assert f == f_closed(geom, 1e-6)
+
+    def test_rejects_an_unknown_geometry(self):
+        with pytest.raises(TypeError,
+                           match="^geometry must be MziGeometry or "
+                                 "SwiGeometry$"):
+            f_closed(object(), 1e-6)
+
     def test_largest_rc_gives_finite_factors(self):
         # past 7.7e153 the single-well f_P formed 3 rc^2 = inf, then inf/inf
         with np.errstate(over="ignore"):

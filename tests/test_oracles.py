@@ -618,6 +618,12 @@ class TestDickeEvolve:
             DickeState(2, np.eye(3, dtype=complex)).check()
         with pytest.raises(FloatingPointError, match="2.8"):
             DickeState(2, np.full((3, 3), np.nan, dtype=complex)).check()
+        # unit trace, finite, but one off-diagonal entry without its mirror
+        skew = np.diag([0.5, 0.3, 0.2]).astype(complex)
+        skew[0, 1] = 0.1
+        with pytest.raises(ValueError, match="^density matrix is not "
+                                             "Hermitian$"):
+            DickeState(2, skew).check()
         # Gamma_S N^2 dt / 2 = 16 lies outside RK4's stability interval
         with np.errstate(all="ignore"), \
                 pytest.raises(FloatingPointError, match="Gamma_S"):
