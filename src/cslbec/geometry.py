@@ -134,10 +134,13 @@ _RC_MAX = math.sqrt(sys.float_info.max) / 2.0
 def _checked_rc(rc):
     """rc as a float for a scalar (a real number or a 0-d array), else as
     a float array of at least one dimension; ValueError outside
-    (0, _RC_MAX].  A real number touches no numpy.
+    (0, _RC_MAX], and for a bool, which is no length.  A real number
+    touches no numpy.
     """
+    if isinstance(rc, bool):
+        raise _rc_bool_error(rc)
     if not isinstance(rc, numbers.Real):
-        r = np.asarray(rc, dtype=float)
+        r = _rc_array(rc)
         if r.ndim == 0:
             return _checked_rc(float(r))
         bad = ~((r > 0) & (r <= _RC_MAX))
@@ -153,6 +156,19 @@ def _checked_rc(rc):
 def _rc_error(r: float) -> ValueError:
     return ValueError(f"rc must be finite and > 0, at most {_RC_MAX:.3g} m, "
                       f"got {r!r}")
+
+
+def _rc_bool_error(rc) -> ValueError:
+    return ValueError(f"rc must be a real number, not a bool, got {rc!r}")
+
+
+def _rc_array(rc):
+    """rc as a float array, as numpy reads it; ValueError for a bool array,
+    numpy's bool scalar included."""
+    r = np.asarray(rc)
+    if r.dtype == bool:
+        raise _rc_bool_error(rc)
+    return r.astype(float, copy=False)
 
 
 def _checked_r2(rc):

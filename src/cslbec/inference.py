@@ -168,11 +168,11 @@ def exclusion_curve(spec: ExperimentSpec, mode: str, rc_grid,
 
     NaN marks exactly the points where ``lambda_bound`` raises: a negative
     excess variance, a zero slope or a bound past the float range.  A grid
-    that is not 1-D, an r_C outside (0, 6.7e153 m], a mode other than
-    ``spec.mode`` or a spec without xi_t raises for the whole grid.  A
-    negative excess gives all NaN without a geometry factor.
+    that is not 1-D or holds bools, an r_C outside (0, 6.7e153 m], a mode
+    other than ``spec.mode`` or a spec without xi_t raises for the whole
+    grid.  A negative excess gives all NaN without a geometry factor.
     """
-    rc_grid = np.asarray(rc_grid, dtype=float)
+    rc_grid = geometry._rc_array(rc_grid)
     if rc_grid.ndim != 1:
         raise ValueError(
             f"rc_grid must be a 1-D grid, got shape {rc_grid.shape}")

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 import cslbec
-from cslbec import cli
+from cslbec import cli, inference
 from cslbec.core import spec_to_dict
 from cslbec.geometry import QuadratureError, f_closed
 from cslbec.scenarios import SCENARIOS
@@ -749,7 +749,7 @@ class TestExitCodes:
             "repetitions", "--scenario", "rb-mzi", "--lambda-min-hz", "1e154"])
         assert code == 0
         sc = SCENARIOS["rb-mzi"]
-        split = cslbec.variance_split(sc.spec, sc.rc, sc.mode)
+        split = inference.variance_split(sc.spec, sc.rc, sc.mode)
         x = split.sigma_conv_sq / split.alpha_csl_sq + 1e154
         fisher = json.loads(out)["fisher_info"]
         assert fisher > 0.0

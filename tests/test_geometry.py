@@ -190,6 +190,20 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="rc must be finite and > 0"):
             evaluate(rc)
 
+    # a bool was read as an r_C of 1 m
+    @pytest.mark.parametrize("rc", [True, np.True_, np.array([True, False]),
+                                    [False]],
+                             ids=["bool", "numpy-bool", "array", "list"])
+    @pytest.mark.parametrize("evaluate", [
+        lambda rc: f_closed(SWI, rc),
+        lambda rc: f_closed(MZI, rc),
+        lambda rc: f_quadrature(overlap_swi(SWI), rc),
+    ], ids=["swi", "mzi", "quadrature"])
+    def test_rejects_a_bool_rc(self, evaluate, rc):
+        with pytest.raises(ValueError, match="^rc must be a real number, "
+                                             "not a bool, got "):
+            evaluate(rc)
+
     @pytest.mark.parametrize("geom", [MZI, SWI], ids=["mzi", "swi"])
     def test_zero_dim_array_is_a_scalar(self, geom):
         f = f_closed(geom, np.array(1e-6))

@@ -24,6 +24,7 @@ from cslbec import geometry, inference
 from cslbec.inference import (
     ExcessVarianceError,
     MODES,
+    VarianceSplit,
     calibrate_estimator,
     exclusion_curve,
     fisher_information,
@@ -277,23 +278,16 @@ class TestLambdaBound:
         with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
             replace(RB_SWI.spec, **change)
 
-    @pytest.mark.parametrize("entry", [
-        lambda spec: variance_split(spec, RB_SWI.rc, RB_SWI.mode),
-        lambda spec: exclusion_curve(spec, RB_SWI.mode, [1e-7, 1e-6]),
-        lambda spec: repetitions(spec, RB_SWI.rc, RB_SWI.mode,
-                                 lambda_min=1e-10),
-        lambda spec: calibrate_estimator(spec, RB_SWI.rc, RB_SWI.mode,
-                                         lambda_true=1e-10, k=1000, seed=1,
-                                         n_meta=10),
-    ], ids=["variance_split", "exclusion_curve", "repetitions",
-            "calibrate_estimator"])
-    def test_every_entry_refuses_an_invalid_spec(self, entry):
-        # no entry checks its spec: the invalid one cannot be made, so each
-        # entry runs only on the valid spec it was derived from
-        change, _ = REFUSED_SPECS["n_atoms-1"]
-        with pytest.raises(SpecError, match="^state.n_atoms must be >= 2$"):
-            replace(RB_SWI.spec, **change)
-        entry(RB_SWI.spec)
+    @pytest.mark.parametrize("rc", [True, np.True_],
+                             ids=["bool", "numpy-bool"])
+    def test_refuses_a_bool_rc(self, rc):
+        # a bool was read as 1 m: 4.413 Hz for rb-mzi
+        with pytest.raises(ValueError, match="^rc must be a real number, "
+                                             "not a bool, got "):
+            lambda_bound(RB_MZI.spec, rc, "mzi")
+        with pytest.raises(ValueError, match="^rc must be a real number, "
+                                             "not a bool, got "):
+            exclusion_curve(RB_MZI.spec, "mzi", [rc, rc])
 
     def test_requires_xi_t(self):
         spec = ExperimentSpec(
@@ -611,6 +605,17 @@ class TestRepetitions:
                 repetitions(RB_SWI.spec, RB_SWI.rc, "swi_plain",
                             lambda_min=lambda_at(1.001 * 2 ** 53, inflation))
 
+    def test_count_of_exactly_2_53_is_exact(self):
+        # k = 2 / delta^2 is exactly 2**53 at delta = 2**-26, and the
+        # largest count a float holds exactly; one ulp less delta is past it
+        split = VarianceSplit(sigma_conv_sq=0.0, alpha_csl_sq=1.0)
+        k = inference._repetition_count("k", 0.0, split, 1.0, 2.0 ** -26)
+        assert k == 2 ** 53
+        with pytest.raises(OverflowError,
+                           match=r"^repetition count k overflows 2\*\*53"):
+            inference._repetition_count(
+                "k", 0.0, split, 1.0, math.nextafter(2.0 ** -26, 0.0))
+
     def test_fisher_information_relation(self):
         split = variance_split(RB_MZI.spec, 1e-6, "mzi", fp_cap_one=True)
         lam = 1e-10
@@ -766,6 +771,35 @@ class TestCalibrateEstimator:
         floor = math.sqrt(2.0 / k) * (c + lam)
         assert res.cr_floor / floor == pytest.approx(1.0, rel=1e-12)
         assert res.lambda_hat_spread / floor == pytest.approx(1.0, rel=0.3)
+
+    def test_replays_the_chi_square_law(self):
+        # lambda_hat = (sigma_phi^2 chi^2_{k-1} / (k - 1) - sigma_conv^2)
+        # / alpha_csl^2 on Philox(key=seed), its mean and ddof=1 spread
+        sc, k, n_meta, seed = RB_MZI, 2086, 500, 7
+        res = calibrate_estimator(sc.spec, sc.rc, sc.mode, sc.lambda_min,
+                                  k=k, seed=seed, n_meta=n_meta,
+                                  fp_cap_one=True)
+        split = variance_split(sc.spec, sc.rc, sc.mode, fp_cap_one=True)
+        sigma_phi_sq = split.sigma_conv_sq \
+            + split.alpha_csl_sq * sc.lambda_min
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        chi2 = rng.chisquare(k - 1, size=n_meta)
+        lam_hat = (sigma_phi_sq * chi2 / (k - 1) - split.sigma_conv_sq) \
+            / split.alpha_csl_sq
+        assert res.lambda_hat_mean == float(np.mean(lam_hat))
+        assert res.lambda_hat_spread == float(np.std(lam_hat, ddof=1))
+        assert res.spread_stderr == \
+            res.lambda_hat_spread / math.sqrt(2.0 * (n_meta - 1))
+
+    def test_spread_stderr_matches_the_scatter_of_spreads(self):
+        sc = RB_MZI
+        runs = [calibrate_estimator(sc.spec, sc.rc, sc.mode, sc.lambda_min,
+                                    k=2086, seed=seed, n_meta=50,
+                                    fp_cap_one=True)
+                for seed in range(400)]
+        scatter = np.std([r.lambda_hat_spread for r in runs], ddof=1)
+        stderr = np.median([r.spread_stderr for r in runs])
+        assert scatter / stderr == pytest.approx(1.0, rel=0.1)
 
     @pytest.mark.parametrize("setting", ["unit-swi", "rb-mzi"])
     def test_agrees_with_count_matrix(self, setting):

@@ -1,15 +1,18 @@
 """The package namespace: ``import cslbec`` loads only the numpy-free spec
-layer, and each numerical name resolves on first access.  The CLI's scalar
-commands never load numpy; its array commands do.
+layer, and binds only its types and ``SCENARIOS``; the numerical names are
+imported from their modules.  The CLI's scalar commands never load numpy;
+its array commands do.
 
-Every check but the patch test runs in a fresh interpreter, so that no
-import made by an earlier test can hide one the package makes.
+Every check runs in a fresh interpreter, so that no import made by an
+earlier test can hide one the package makes.
 """
 
 import contextlib
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -17,16 +20,18 @@ import textwrap
 import pytest
 
 import cslbec
-from cslbec import cli, core, inference
+from cslbec import cli, core
 from cslbec.scenarios import SCENARIOS
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cslbec.__file__)))
+README = os.path.join(os.path.dirname(SRC), "README.md")
 
-# every name the package bound when it imported all its layers at once
-EXPORTS = {
-    "core": ("CslPoint", "ExperimentSpec", "InitialState", "MziGeometry",
-             "NoiseModel", "Protocol", "Species", "SwiGeometry"),
-    "scenarios": ("SCENARIOS",),
+# the package's whole namespace: the spec layer's types and scenarios
+EXPORTS = ("CslPoint", "ExperimentSpec", "InitialState", "MziGeometry",
+           "NoiseModel", "Protocol", "Species", "SwiGeometry", "SCENARIOS")
+
+# the numerical names, which only their own modules bind
+LAYER_NAMES = {
     "dynamics": ("PhaseMoments", "Rates", "phase_variance", "rates",
                  "visibility"),
     "geometry": ("GeometryFactors", "f_closed", "f_quadrature",
@@ -36,17 +41,24 @@ EXPORTS = {
 }
 
 
-def run_fresh(body: str) -> str:
-    """Run ``body`` in a new interpreter that imports this cslbec; its
-    stdout."""
+def fresh(body: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run ``body`` in a new interpreter, started with ``flags``, that
+    imports this cslbec."""
     path = [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     proc = subprocess.run(
-        [sys.executable, "-c",
-         f"EXPORTS = {EXPORTS!r}\n" + textwrap.dedent(body)],
+        [sys.executable, *flags, "-c",
+         f"EXPORTS = {EXPORTS!r}\nLAYER_NAMES = {LAYER_NAMES!r}\n"
+         + textwrap.dedent(body)],
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return proc
+
+
+def run_fresh(body: str) -> str:
+    """Run ``body`` in a new interpreter that imports this cslbec; its
+    stdout."""
+    return fresh(body).stdout
 
 
 def test_spec_layer_loads_without_numpy(tmp_path):
@@ -74,45 +86,71 @@ def test_spec_layer_loads_without_numpy(tmp_path):
 
 def test_every_export_is_its_module_attribute():
     run_fresh("""
-        import importlib, sys
         import cslbec
-        names = set()
-        for module, exported in EXPORTS.items():
-            mod = importlib.import_module(f"cslbec.{module}")
-            assert getattr(cslbec, module) is mod, module
-            for name in exported:
-                assert getattr(cslbec, name) is getattr(mod, name), name
-            names |= {module, *exported}
-        assert set(cslbec.__all__) == names
-        assert names <= set(dir(cslbec))
-        assert not hasattr(cslbec, "no_such_name")
+        from cslbec import core, scenarios
+        assert cslbec.__all__ == list(EXPORTS)
+        for name in EXPORTS:
+            owner = scenarios if name == "SCENARIOS" else core
+            assert getattr(cslbec, name) is getattr(owner, name), name
+        for module, names in LAYER_NAMES.items():
+            assert not hasattr(cslbec, module), module
+            for name in names:
+                assert not hasattr(cslbec, name), name
+        # importing a layer binds the module, and still none of its names
+        from cslbec import dynamics, geometry, inference
+        assert cslbec.inference is inference
+        for module, names in LAYER_NAMES.items():
+            for name in names:
+                assert not hasattr(cslbec, name), name
+                assert hasattr(getattr(cslbec, module), name), name
     """)
 
 
 def test_star_import_binds_every_name():
     run_fresh("""
-        import sys
+        import cslbec
+        before = {*globals(), "before"}
         from cslbec import *
-        for module, exported in EXPORTS.items():
-            mod = sys.modules[f"cslbec.{module}"]
-            assert globals()[module] is mod, module
-            for name in exported:
-                assert globals()[name] is getattr(mod, name), name
+        assert set(globals()) - before == set(EXPORTS)
+        for name in EXPORTS:
+            assert globals()[name] is getattr(cslbec, name), name
     """)
 
 
-def test_name_follows_a_patch_of_its_module(monkeypatch):
-    # the package caches nothing, so a patched and then restored module
-    # attribute (as the benchmark's tracer leaves them) shows through
-    original = inference.lambda_bound
+def test_importtime_lists_every_layer():
+    # a layer loaded through importlib.import_module printed no row, and
+    # its cost showed as the importer's own
+    err = fresh("import cslbec.cli", "-X", "importtime").stderr
+    rows = {line.rsplit("|", 1)[1].strip() for line in err.splitlines()
+            if line.startswith("import time:") and line.count("|") == 2}
+    layers = ("core", "scenarios", "geometry", "dynamics", "inference",
+              "oracles", "cli")
+    missing = [m for m in layers if f"cslbec.{m}" not in rows]
+    assert not missing, missing
 
-    def patched(*args, **kwargs):
-        return original(*args, **kwargs)
 
-    monkeypatch.setattr(inference, "lambda_bound", patched)
-    assert cslbec.lambda_bound is patched
-    monkeypatch.undo()
-    assert cslbec.lambda_bound is original
+def test_readme_library_use_runs():
+    with open(README, encoding="utf-8") as f:
+        text = f.read()
+    section = text[text.index("\n## Library use\n"):]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    values = [float(line) for line in run_fresh(block).split()]
+    assert len(values) == 2 and all(map(math.isfinite, values)), values
+
+
+def test_bool_rc_is_refused_without_numpy():
+    run_fresh("""
+        import sys
+        from cslbec import SCENARIOS
+        from cslbec.inference import lambda_bound
+        try:
+            lambda_bound(SCENARIOS["rb-mzi"].spec, True, "mzi")
+        except ValueError as exc:
+            assert str(exc) == "rc must be a real number, not a bool, got True"
+        else:
+            raise AssertionError("a bool rc gave a bound")
+        assert "numpy._core" not in sys.modules
+    """)
 
 
 # numpy's lazy module object is in sys.modules from the first import of a
