@@ -241,9 +241,8 @@ class _Field(NamedTuple):
     """One JSON key of a spec group and the dataclass attribute it fills."""
 
     key: str               # JSON key, unit-suffixed
-    attr: str              # dataclass attribute
+    attr: str              # dataclass attribute: required without a default
     kind: type = float     # float, int, bool or str: see _KINDS
-    required: bool = True  # else the dataclass default applies
     rule: str = ""         # range rule, a key of _RULES
 
 
@@ -263,26 +262,25 @@ _SCHEMA = (
     ("geometry", "mzi", MziGeometry, (
         _Field("delta_x_m", "delta_x", rule="positive"),
         _Field("w_x_m", "w_x", rule="positive"),
-        _Field("w_y_m", "w_y", required=False, rule="positive"))),
+        _Field("w_y_m", "w_y", rule="positive"))),
     ("geometry", "swi", SwiGeometry, (
         _Field("x0_m", "x0", rule="positive"),
-        _Field("w_y_m", "w_y", required=False, rule="positive"))),
+        _Field("w_y_m", "w_y", rule="positive"))),
     ("state", None, InitialState, (
         _Field("n_atoms", "n_atoms", int, rule=">= 2"),
         _Field("xi0", "xi0", rule="positive"),
-        _Field("sigma_n0", "sigma_n0", required=False, rule="nonnegative"))),
+        _Field("sigma_n0", "sigma_n0", rule="nonnegative"))),
     ("protocol", None, Protocol, (
         _Field("t_s", "t", rule="positive"),
-        _Field("zeta_rad_s", "zeta", required=False),
-        _Field("echo", "echo", bool, required=False),
-        _Field("phase_mean_rad", "phase_mean", required=False,
-               rule=_OFF_COS_ZERO),
+        _Field("zeta_rad_s", "zeta"),
+        _Field("echo", "echo", bool),
+        _Field("phase_mean_rad", "phase_mean", rule=_OFF_COS_ZERO),
         _Field("epsilon_over_hbar_rad_s", "epsilon_over_hbar",
-               required=False, rule=_UNMODELLED))),
+               rule=_UNMODELLED))),
     ("noise", None, NoiseModel, (
-        _Field("gamma_hz", "gamma", required=False, rule="nonnegative"),)),
+        _Field("gamma_hz", "gamma", rule="nonnegative"),)),
     ("observation", None, ExperimentSpec, (
-        _Field("xi_t", "xi_t", required=False),)),
+        _Field("xi_t", "xi_t"),)),
 )
 
 _RULES = {
@@ -410,7 +408,7 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
         for f in flds:
             if f.key in obj:
                 values[f.attr] = _parse(obj[f.key], f.kind, f"{group}.{f.key}")
-            elif f.required:
+            elif not hasattr(cls, f.attr):
                 raise SpecError(f"{group}.{f.key} is required")
         if cls is ExperimentSpec:
             parts.update(values)

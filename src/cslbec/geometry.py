@@ -164,11 +164,20 @@ def _rc_bool_error(rc) -> ValueError:
 
 def _rc_array(rc):
     """rc as a float array, as numpy reads it; ValueError for a bool array,
-    numpy's bool scalar included."""
+    numpy's bool scalar included, and for a list or tuple that holds a
+    bool, which numpy would read as 1 or 0."""
+    if not isinstance(rc, np.ndarray) and _holds_a_bool(rc):
+        raise _rc_bool_error(rc)
     r = np.asarray(rc)
     if r.dtype == bool:
         raise _rc_bool_error(rc)
     return r.astype(float, copy=False)
+
+
+def _holds_a_bool(rc) -> bool:
+    """True for a list or tuple with a bool, numpy's too, at any depth."""
+    return isinstance(rc, (list, tuple)) and any(
+        isinstance(x, (bool, np.bool_)) or _holds_a_bool(x) for x in rc)
 
 
 def _checked_r2(rc):

@@ -263,10 +263,13 @@ def table1(delta: float = 0.1, fp_cap_one: bool = True) -> list:
 class CalibrationResult:
     lambda_hat_mean: float
     lambda_hat_spread: float   # empirical std over meta-repetitions
-    spread_stderr: float
     cr_floor: float            # Cramer-Rao lower limit on the spread
     k: int
     n_meta: int
+
+    @property
+    def spread_stderr(self) -> float:
+        return self.lambda_hat_spread / math.sqrt(2.0 * (self.n_meta - 1))
 
 
 def calibrate_estimator(spec: ExperimentSpec, rc: float, mode: str,
@@ -300,11 +303,9 @@ def calibrate_estimator(spec: ExperimentSpec, rc: float, mode: str,
     s2 = sigma_phi_sq * rng.chisquare(k - 1, size=n_meta) / (k - 1)
     lam_hat = (s2 - split.sigma_conv_sq) / split.alpha_csl_sq
 
-    spread = float(np.std(lam_hat, ddof=1))
     return CalibrationResult(
         lambda_hat_mean=float(np.mean(lam_hat)),
-        lambda_hat_spread=spread,
-        spread_stderr=spread / math.sqrt(2.0 * (n_meta - 1)),
+        lambda_hat_spread=float(np.std(lam_hat, ddof=1)),
         cr_floor=cr,
         k=k,
         n_meta=n_meta,

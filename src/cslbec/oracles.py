@@ -62,12 +62,18 @@ class SdeMoments:
 
     mean: float
     variance: float
-    stderr_mean: float
-    stderr_variance: float
     t: float
     n_traj: int
     seed: int
     euler_bias: float
+
+    @property
+    def stderr_mean(self) -> float:
+        return math.sqrt(self.variance / self.n_traj)
+
+    @property
+    def stderr_variance(self) -> float:
+        return self.variance * math.sqrt(2.0 / (self.n_traj - 1))
 
 
 def _cpu_count() -> int:
@@ -176,26 +182,17 @@ def sde_sample(spec: ExperimentSpec, point: CslPoint, n_traj: int,
         blocks = list(pool.map(run_block, range(len(starts))))
     phi_all = np.concatenate(blocks)
 
-    mean = float(np.mean(phi_all))
-    var = float(np.var(phi_all, ddof=1))
-    stderr_var = var * math.sqrt(2.0 / (n_traj - 1))
     bias = _euler_bias(legs, diff_n)
-    if abs(bias) > _BIAS_SE * stderr_var:
+    moments = SdeMoments(
+        mean=float(np.mean(phi_all)), variance=float(np.var(phi_all, ddof=1)),
+        t=p.t, n_traj=n_traj, seed=seed, euler_bias=bias)
+    if abs(bias) > _BIAS_SE * moments.stderr_variance:
         warnings.warn(
             f"Euler bias {bias:.3g} rad^2 of the phase variance exceeds "
             f"{_BIAS_SE:g} of its standard error; increase n_steps",
             stacklevel=2,
         )
-    return SdeMoments(
-        mean=mean,
-        variance=var,
-        stderr_mean=math.sqrt(var / n_traj),
-        stderr_variance=stderr_var,
-        t=p.t,
-        n_traj=n_traj,
-        seed=seed,
-        euler_bias=bias,
-    )
+    return moments
 
 
 # --- Dicke-basis master equation --------------------------------------------
@@ -208,11 +205,14 @@ class PositivityError(ArithmeticError):
 class DickeState:
     """Density matrix in the J_z eigenbasis of the J = N/2 spin block.
 
-    Basis ordering is m = -J ... +J.
+    Basis ordering is m = -J ... +J, so N is read off rho's size.
     """
 
-    n_atoms: int
     rho: np.ndarray
+
+    @property
+    def n_atoms(self) -> int:
+        return self.rho.shape[0] - 1
 
     def check(self) -> tuple[float, float]:
         """Validate rho; return (|tr rho - 1|, smallest eigenvalue).
@@ -280,7 +280,7 @@ def coherent_spin_state(n_atoms: int, theta: float = math.pi / 2.0,
         + (j - m) * math.log(max(math.sin(theta / 2.0), 1e-300))
     ) * np.exp(-1j * m * phi)
     amp /= np.linalg.norm(amp)
-    return DickeState(n_atoms, np.outer(amp, amp.conj()))
+    return DickeState(np.outer(amp, amp.conj()))
 
 
 def _band_into(coef: np.ndarray, x: np.ndarray, out: np.ndarray,
@@ -430,7 +430,7 @@ def dicke_evolve(n_atoms: int, r: Rates, zeta: float,
         rho = _evolve_segment(rho, mz, jx_band, r, zeta_k, epsilon_over_hbar,
                               tau, steps)
 
-    state = DickeState(n_atoms, rho)
+    state = DickeState(rho)
     state.check()
     return state
 

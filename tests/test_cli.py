@@ -379,6 +379,18 @@ class TestSpecFiles:
         assert err.startswith(
             "numerical failure: lambda_bound overflows the float range")
 
+    def test_zero_slope_exits_3(self, capsys, tmp_path):
+        def mutate(d):
+            d["protocol"]["zeta_rad_s"] = 0.0
+
+        path = write_spec(tmp_path, mutate, scenario="rb-swi-echo")
+        with pytest.warns(UserWarning, match="^echo protocol with zeta = 0"):
+            code, out, err = run_capture(capsys, [
+                "bound", "--spec", str(path), "--rc-m", "8e-8"])
+        assert (code, out) == (3, "")
+        assert err == ("numerical failure: variance has no collapse-rate "
+                       "sensitivity (alpha_csl^2 = 0)\n")
+
     @pytest.mark.parametrize("argv,message", [
         (["bound"], "bound requires --rc-m (or a scenario)"),
         (["repetitions"], "repetitions requires --rc-m (or a scenario)"),

@@ -190,10 +190,13 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="rc must be finite and > 0"):
             evaluate(rc)
 
-    # a bool was read as an r_C of 1 m
+    # a bool was read as an r_C of 1 m, also beside floats in a list
     @pytest.mark.parametrize("rc", [True, np.True_, np.array([True, False]),
-                                    [False]],
-                             ids=["bool", "numpy-bool", "array", "list"])
+                                    [False], [True, 1e-6], [np.True_, 1e-6],
+                                    [[1e-6, True]], (1e-6, False)],
+                             ids=["bool", "numpy-bool", "array", "list",
+                                  "mixed-list", "mixed-numpy-bool",
+                                  "nested-list", "mixed-tuple"])
     @pytest.mark.parametrize("evaluate", [
         lambda rc: f_closed(SWI, rc),
         lambda rc: f_closed(MZI, rc),

@@ -15,13 +15,13 @@ from cslbec.core import (
     Protocol,
     RUBIDIUM_87,
     Species,
-    SpecError,
     SwiGeometry,
 )
 from cslbec.dynamics import phase_variance, propagator_parts
 from cslbec.geometry import f_closed, optimal_rc
 from cslbec import geometry, inference
 from cslbec.inference import (
+    CalibrationResult,
     ExcessVarianceError,
     MODES,
     VarianceSplit,
@@ -70,22 +70,6 @@ def negative_excess(spec):
     protocol = replace(spec.protocol, zeta=spec.protocol.zeta or 1e-3)
     return replace(spec, protocol=protocol, xi_t=spec.state.xi0)
 
-
-# each of these specs used to get an answer: a NaN bound, 69.30 Hz,
-# 7.28e-11 Hz, 3.85e-10 Hz and a ZeroDivisionError.  Now it cannot be
-# made: (the change to RB_SWI's spec, the message it is refused with)
-REFUSED_SPECS = {
-    "xi_t-nan": (dict(xi_t=math.nan), "xi_t must be finite, got nan"),
-    "n_atoms-1": (dict(state=replace(RB_SWI.spec.state, n_atoms=1)),
-                  "state.n_atoms must be >= 2"),
-    "mass_u-negative": (dict(species=Species("Rb-87", -87.0)),
-                        "species.mass_u must be positive"),
-    "xi0-negative": (dict(state=InitialState(n_atoms=300_000, xi0=-5.0,
-                                             sigma_n0=1.0)),
-                     "state.xi0 must be positive"),
-    "t-negative": (dict(protocol=replace(RB_SWI.spec.protocol, t=-0.5)),
-                   "protocol.t must be positive"),
-}
 
 PAPER_K = {"rb-mzi": 2086, "rb-swi": 3381, "cs-mzi": 1033,
            "rb-swi-echo": 3065}
@@ -255,6 +239,22 @@ class TestLambdaBound:
             xi_t=1.0,
         )
         assert lambda_bound(spec, 1e-6, "mzi") == 0.0
+        # a zero excess is a bound of 0 Hz on the curve too, not a gap
+        curve = exclusion_curve(spec, "mzi", np.geomspace(1e-8, 1e-6, 5))
+        np.testing.assert_array_equal(curve.lambda_bound, 0.0)
+
+    def test_zero_slope_is_named(self):
+        # an echo with zeta = 0 has no slope in lambda: the named error,
+        # not Python's bare "float division by zero", and a curve of gaps
+        spec = replace(RB_ECHO.spec,
+                       protocol=replace(RB_ECHO.spec.protocol, zeta=0.0))
+        with pytest.raises(ZeroDivisionError, match="^" + re.escape(
+                "variance has no collapse-rate sensitivity "
+                "(alpha_csl^2 = 0)") + "$"):
+            lambda_bound(spec, RB_ECHO.rc, "swi_echo")
+        curve = exclusion_curve(spec, "swi_echo",
+                                np.geomspace(1e-8, 1e-6, 5))
+        assert np.all(np.isnan(curve.lambda_bound))
 
     def test_negative_excess_raises(self):
         # xi_t > xi0, but the dispersion broadening (zeta t sigma_n0)^2 =
@@ -270,14 +270,6 @@ class TestLambdaBound:
         with pytest.raises(ExcessVarianceError):
             lambda_bound(spec, 1e-6, "mzi")
 
-    @pytest.mark.parametrize("name", sorted(REFUSED_SPECS))
-    def test_refuses_a_spec_validate_refuses(self, name):
-        # each of these used to give a bound or an arithmetic error; now
-        # the spec cannot be made
-        change, message = REFUSED_SPECS[name]
-        with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
-            replace(RB_SWI.spec, **change)
-
     @pytest.mark.parametrize("rc", [True, np.True_],
                              ids=["bool", "numpy-bool"])
     def test_refuses_a_bool_rc(self, rc):
@@ -288,6 +280,10 @@ class TestLambdaBound:
         with pytest.raises(ValueError, match="^rc must be a real number, "
                                              "not a bool, got "):
             exclusion_curve(RB_MZI.spec, "mzi", [rc, rc])
+        # numpy reads a list that mixes a bool with floats as floats
+        with pytest.raises(ValueError, match="^rc must be a real number, "
+                                             "not a bool, got "):
+            exclusion_curve(RB_MZI.spec, "mzi", [1e-6, rc])
 
     def test_requires_xi_t(self):
         spec = ExperimentSpec(
@@ -790,6 +786,13 @@ class TestCalibrateEstimator:
         assert res.lambda_hat_spread == float(np.std(lam_hat, ddof=1))
         assert res.spread_stderr == \
             res.lambda_hat_spread / math.sqrt(2.0 * (n_meta - 1))
+
+    def test_spread_stderr_follows_spread(self):
+        # a constructor field would let it disagree with the spread
+        with pytest.raises(TypeError):
+            CalibrationResult(lambda_hat_mean=0.0, lambda_hat_spread=1.0,
+                              spread_stderr=0.1, cr_floor=0.5, k=100,
+                              n_meta=3)
 
     def test_spread_stderr_matches_the_scatter_of_spreads(self):
         sc = RB_MZI

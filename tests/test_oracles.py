@@ -26,6 +26,7 @@ from cslbec import oracles
 from cslbec.oracles import (
     DickeState,
     PositivityError,
+    SdeMoments,
     _euler_bias,
     _jx_coefficients,
     _jx_dissipator,
@@ -191,6 +192,17 @@ class TestSdeSample:
         m = sde_sample(spec, CslPoint(lam, 1.0), 8192, 1000, seed=5)
         expected = 1.0 / 10_000 + 0.05
         assert abs(m.variance - expected) < 3.0 * m.stderr_variance
+
+    def test_stderrs_follow_variance(self):
+        spec = swi_unit_spec(10_000, 1.0, 1.0, 0.0)
+        m = sde_sample(spec, CslPoint(0.0, OPT), 1000, 1000, seed=7)
+        assert m.stderr_mean == math.sqrt(m.variance / 1000)
+        assert m.stderr_variance == m.variance * math.sqrt(2.0 / 999)
+        # a constructor field would let them disagree with the variance
+        with pytest.raises(TypeError):
+            SdeMoments(mean=0.0, variance=1.0, stderr_mean=0.1,
+                       stderr_variance=0.1, t=1.0, n_traj=1000, seed=7,
+                       euler_bias=0.0)
 
     def test_deterministic_for_seed(self):
         spec = swi_unit_spec(10_000, 1.0, 0.5, 1e-3)
@@ -596,27 +608,34 @@ class TestDickeEvolve:
     def test_state_check_returns_its_diagnostics(self):
         n = 40
         rho = coherent_spin_state(n).rho
-        trace_error, min_eig = DickeState(n, rho).check()
+        trace_error, min_eig = DickeState(rho).check()
         assert trace_error == abs(np.trace(rho) - 1.0)
         assert trace_error <= 1e-14
         # a pure state: one eigenvalue 1, the other N at 0 up to rounding
         assert min_eig == np.linalg.eigvalsh(rho)[0]
         assert abs(min_eig) <= 1e-14
 
+    def test_atom_number_follows_rho(self):
+        rho = coherent_spin_state(6).rho
+        assert DickeState(rho).n_atoms == 6
+        # a constructor field would let N disagree with rho's size
+        with pytest.raises(TypeError):
+            DickeState(2, rho)
+
     def test_state_check_rejects_bad_matrices(self):
         rho = np.diag([0.7, 0.5, -0.2]).astype(complex)
         with pytest.raises(PositivityError):
-            DickeState(2, rho).check()
+            DickeState(rho).check()
         with pytest.raises(ValueError, match="trace"):
-            DickeState(2, np.eye(3, dtype=complex)).check()
+            DickeState(np.eye(3, dtype=complex)).check()
         with pytest.raises(FloatingPointError, match="2.8"):
-            DickeState(2, np.full((3, 3), np.nan, dtype=complex)).check()
+            DickeState(np.full((3, 3), np.nan, dtype=complex)).check()
         # unit trace, finite, but one off-diagonal entry without its mirror
         skew = np.diag([0.5, 0.3, 0.2]).astype(complex)
         skew[0, 1] = 0.1
         with pytest.raises(ValueError, match="^density matrix is not "
                                              "Hermitian$"):
-            DickeState(2, skew).check()
+            DickeState(skew).check()
         # Gamma_S N^2 dt / 2 = 16 lies outside RK4's stability interval
         with np.errstate(all="ignore"), \
                 pytest.raises(FloatingPointError, match="Gamma_S"):
@@ -645,7 +664,7 @@ class TestDickePhaseVariance:
         rho = np.zeros((n + 1, n + 1), dtype=complex)
         rho[-1, -1] = 1.0  # stretched state along +z
         with pytest.raises(ValueError, match="transverse"):
-            dicke_phase_variance(DickeState(n, rho))
+            dicke_phase_variance(DickeState(rho))
 
     @pytest.mark.parametrize("n", [1, 2, 40, 200])
     def test_matches_dense_moments(self, n):
