@@ -14,6 +14,7 @@ array.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -57,6 +58,11 @@ class ExcessVarianceError(ValueError):
 class VarianceSplit:
     sigma_conv_sq: float  # rad^2, collapse-independent part
     alpha_csl_sq: float   # rad^2 s, slope of the variance in lambda
+
+    def __post_init__(self):  # a slope over an r_C grid may hold zeros
+        if isinstance(a := self.alpha_csl_sq, numbers.Real) and a <= 0.0:
+            raise ZeroDivisionError("variance has no collapse-rate "
+                                    "sensitivity (alpha_csl^2 = 0)")
 
 
 @dataclass(frozen=True)
@@ -124,6 +130,16 @@ def variance_split(spec: ExperimentSpec, rc, mode: str,
     return VarianceSplit(sigma_conv_sq, slope(rc))
 
 
+def _one_rc(rc) -> float:
+    """``rc`` checked as one r_C (``geometry._checked_rc``); a grid, which
+    only ``exclusion_curve`` takes, raises a ValueError."""
+    r = geometry._checked_rc(rc)
+    if not isinstance(r, float):
+        raise ValueError(f"rc must be one r_C, got shape {r.shape}; "
+                         "exclusion_curve takes a grid")
+    return r
+
+
 def _excess(spec: ExperimentSpec, sigma_conv_sq: float) -> float:
     if spec.xi_t is None:
         raise ValueError("spec has no observed xi_t")
@@ -140,7 +156,7 @@ def lambda_bound(spec: ExperimentSpec, rc: float, mode: str,
     bound), ZeroDivisionError for a zero slope and OverflowError for a
     bound past the float range.
     """
-    return _invert(spec, variance_split(spec, rc, mode,
+    return _invert(spec, variance_split(spec, _one_rc(rc), mode,
                                         fp_cap_one=fp_cap_one))
 
 
@@ -149,10 +165,6 @@ def _invert(spec: ExperimentSpec, split: VarianceSplit) -> float:
     if excess < 0:
         raise ExcessVarianceError(
             "observed spread below conventional prediction"
-        )
-    if split.alpha_csl_sq <= 0.0:
-        raise ZeroDivisionError(
-            "variance has no collapse-rate sensitivity (alpha_csl^2 = 0)"
         )
     bound = excess / split.alpha_csl_sq
     if math.isinf(bound):
@@ -226,7 +238,7 @@ def repetitions(spec: ExperimentSpec, rc: float, mode: str,
     2*gamma*t = 0.5 * sigma_conv^2.  ``lambda_min`` defaults to the
     spec's own exclusion bound.  A count past 2**53 raises OverflowError.
     """
-    split = variance_split(spec, rc, mode, fp_cap_one=fp_cap_one)
+    split = variance_split(spec, _one_rc(rc), mode, fp_cap_one=fp_cap_one)
     if lambda_min is None:
         lambda_min = _invert(spec, split)
     _check_positive("lambda_min", lambda_min)
@@ -294,7 +306,7 @@ def calibrate_estimator(spec: ExperimentSpec, rc: float, mode: str,
             f"sqrt(2/(k-1)) reaches 1e3 float epsilons; got k = {k!r}")
     _check_count("n_meta", n_meta, 2)
     _check_seed(seed)
-    split = variance_split(spec, rc, mode, fp_cap_one=fp_cap_one)
+    split = variance_split(spec, _one_rc(rc), mode, fp_cap_one=fp_cap_one)
     fisher = fisher_information(split, lambda_true)
     cr = 1.0 / math.sqrt(fisher) / math.sqrt(k)  # k F itself can overflow
     sigma_phi_sq = split.sigma_conv_sq + split.alpha_csl_sq * lambda_true

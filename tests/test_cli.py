@@ -379,14 +379,21 @@ class TestSpecFiles:
         assert err.startswith(
             "numerical failure: lambda_bound overflows the float range")
 
-    def test_zero_slope_exits_3(self, capsys, tmp_path):
+    @pytest.mark.parametrize("argv", [
+        ["bound"],
+        ["repetitions", "--lambda-min-hz", "1e-10"],
+        ["calibrate", "--lambda-min-hz", "1e-10"],
+        ["calibrate", "--lambda-min-hz", "1e-10", "--k", "1000"],
+    ], ids=["bound", "repetitions", "calibrate", "calibrate-k"])
+    def test_zero_slope_exits_3(self, capsys, tmp_path, argv):
+        # every path that divides by the slope names it
         def mutate(d):
             d["protocol"]["zeta_rad_s"] = 0.0
 
         path = write_spec(tmp_path, mutate, scenario="rb-swi-echo")
         with pytest.warns(UserWarning, match="^echo protocol with zeta = 0"):
             code, out, err = run_capture(capsys, [
-                "bound", "--spec", str(path), "--rc-m", "8e-8"])
+                *argv, "--spec", str(path), "--rc-m", "8e-8"])
         assert (code, out) == (3, "")
         assert err == ("numerical failure: variance has no collapse-rate "
                        "sensitivity (alpha_csl^2 = 0)\n")

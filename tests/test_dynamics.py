@@ -152,13 +152,18 @@ class TestPhaseVariance:
     def test_validity_flag(self):
         spec = mzi_spec(state=InitialState(4, 1.0),
                         protocol=Protocol(t=1.0, zeta=2.0))
-        with pytest.warns(UserWarning, match="pi/3"):
+        with pytest.warns(UserWarning, match="pi/3") as record:
             pm = phase_variance(spec, CslPoint(0.0, 1e-6))
         assert not pm.valid
+        # the warning points at the caller of phase_variance
+        assert [w.filename for w in record] == [__file__]
 
     def test_validity_follows_variance(self):
         edge = (math.pi / 3.0) ** 2
         assert PhaseMoments(0.0, edge * (1.0 - 1e-9), 1.0).valid
+        # sqrt((pi/3)^2) is pi/3 exactly: the edge itself is valid, as the
+        # spec rule refuses only xi^2/N > pi^2/9
+        assert PhaseMoments(0.0, edge, 1.0).valid
         assert not PhaseMoments(0.0, edge * (1.0 + 1e-9), 1.0).valid
         # a constructor field would let the flag disagree with the variance
         with pytest.raises(TypeError):
@@ -381,13 +386,14 @@ class TestVisibility:
             math.exp(-0.1), rel=1e-12)
 
     def test_conventional_noise_multiplies(self):
-        spec = mzi_spec(protocol=Protocol(t=1.0))
+        # t = 0.8 s tells Gamma_P t and gamma t from Gamma_P / t and gamma / t
+        spec = mzi_spec(protocol=Protocol(t=0.8))
         f = f_closed(spec.geometry, 1e-6).f_p
-        lam = 0.2 / (2.0 * 86.909180 ** 2 * f)
-        gamma_p = 0.2
-        noisy = mzi_spec(protocol=Protocol(t=1.0),
+        gamma_p = 0.25
+        lam = gamma_p / (2.0 * 86.909180 ** 2 * f)
+        noisy = mzi_spec(protocol=Protocol(t=0.8),
                          noise=NoiseModel(gamma=gamma_p / 2.0))
-        # gamma = Gamma_P / 2 here gives exp(-Gamma_P t)
+        # gamma = Gamma_P / 2 here gives exp(-Gamma_P t) = exp(-0.2)
         assert visibility(noisy, CslPoint(lam, 1e-6)) == pytest.approx(
             math.exp(-0.2), rel=1e-12)
 
@@ -396,3 +402,6 @@ def test_gaussian_characteristic_psd():
     chi = GaussianCharacteristic(var_phi=1.0, cov=0.2, var_n=2.0)
     assert chi.evaluate(0.0, 0.0) == 1.0
     assert abs(chi.evaluate(1.3, -0.7)) <= 1.0
+    # (1.69 - 0.364 + 0.98) / 2: each term of the form, with its sign
+    assert chi.evaluate(1.3, -0.7) == pytest.approx(math.exp(-1.153),
+                                                    rel=1e-14)

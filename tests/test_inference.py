@@ -244,16 +244,28 @@ class TestLambdaBound:
         np.testing.assert_array_equal(curve.lambda_bound, 0.0)
 
     def test_zero_slope_is_named(self):
-        # an echo with zeta = 0 has no slope in lambda: the named error,
-        # not Python's bare "float division by zero", and a curve of gaps
+        # an echo with zeta = 0 has no slope in lambda: a split at one r_C
+        # cannot be made, so every scalar entry raises the named error,
+        # not Python's bare "float division by zero"; a curve is all gaps
         spec = replace(RB_ECHO.spec,
                        protocol=replace(RB_ECHO.spec.protocol, zeta=0.0))
-        with pytest.raises(ZeroDivisionError, match="^" + re.escape(
-                "variance has no collapse-rate sensitivity "
-                "(alpha_csl^2 = 0)") + "$"):
-            lambda_bound(spec, RB_ECHO.rc, "swi_echo")
-        curve = exclusion_curve(spec, "swi_echo",
-                                np.geomspace(1e-8, 1e-6, 5))
+        rc = RB_ECHO.rc
+        for call in (
+                lambda: lambda_bound(spec, rc, "swi_echo"),
+                lambda: repetitions(spec, rc, "swi_echo", lambda_min=1e-10),
+                lambda: calibrate_estimator(spec, rc, "swi_echo", 1e-10,
+                                            k=1000, seed=1, n_meta=10),
+                lambda: variance_split(spec, rc, "swi_echo"),
+                lambda: VarianceSplit(0.1, 0.0)):
+            with pytest.raises(ZeroDivisionError, match="^" + re.escape(
+                    "variance has no collapse-rate sensitivity "
+                    "(alpha_csl^2 = 0)") + "$"):
+                call()
+        grid = np.geomspace(1e-8, 1e-6, 5)
+        # a slope over a grid may hold zeros: the curve marks them
+        split = variance_split(spec, grid, "swi_echo")
+        np.testing.assert_array_equal(split.alpha_csl_sq, np.zeros(5))
+        curve = exclusion_curve(spec, "swi_echo", grid)
         assert np.all(np.isnan(curve.lambda_bound))
 
     def test_negative_excess_raises(self):
@@ -269,6 +281,32 @@ class TestLambdaBound:
         )  # a valid spec: making it raised nothing
         with pytest.raises(ExcessVarianceError):
             lambda_bound(spec, 1e-6, "mzi")
+        # at 1e-170 m r_C^2 underflows and f_P = 0: a split with no slope
+        # cannot be made, so the zero-slope error comes first; the curve's
+        # point is NaN either way
+        assert f_closed(spec.geometry, 1e-170).f_p == 0.0
+        with pytest.raises(ZeroDivisionError, match="^variance has no "):
+            lambda_bound(spec, 1e-170, "mzi")
+        curve = exclusion_curve(spec, "mzi", [1e-170, 1e-6])
+        assert np.all(np.isnan(curve.lambda_bound))
+
+    @pytest.mark.parametrize("rc", [[1e-6], (1e-6,), np.array([1e-6]),
+                                    [1e-6, 1e-7]],
+                             ids=["list", "tuple", "array", "two-points"])
+    @pytest.mark.parametrize("entry", [
+        lambda rc: lambda_bound(RB_SWI.spec, rc, "swi_plain"),
+        lambda rc: repetitions(RB_SWI.spec, rc, "swi_plain"),
+        lambda rc: calibrate_estimator(RB_SWI.spec, rc, "swi_plain", 1e-10,
+                                       k=1000, seed=1, n_meta=10),
+    ], ids=["lambda_bound", "repetitions", "calibrate_estimator"])
+    def test_scalar_entries_refuse_a_grid_rc(self, entry, rc):
+        shape = np.shape(rc)
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"rc must be one r_C, got shape {shape}; exclusion_curve "
+                "takes a grid") + "$"):
+            entry(rc)
+        # a 0-d array is one r_C
+        assert entry(np.array(rc[0])) == entry(rc[0])
 
     @pytest.mark.parametrize("rc", [True, np.True_],
                              ids=["bool", "numpy-bool"])

@@ -7,6 +7,7 @@ Every check runs in a fresh interpreter, so that no import made by an
 earlier test can hide one the package makes.
 """
 
+import ast
 import contextlib
 import io
 import json
@@ -221,3 +222,23 @@ def test_fresh_simulate_equals_in_process():
         assert cli.run(argv) == 0
     assert fresh == out.getvalue()
     assert json.loads(fresh)["mc_variance"] > 0
+
+
+def test_sources_parse_as_the_oldest_supported_python():
+    # CI runs the oldest Python that pyproject.toml allows; a newer
+    # grammar, such as 3.11's except*, must fail here on any interpreter
+    root = os.path.dirname(SRC)
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as f:
+        oldest = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$',
+                           f.read(), re.M)
+    version = tuple(int(v) for v in oldest.groups())
+    paths = [os.path.join(d, name) for top in ("src", "tests", "bench")
+             for d, _, names in os.walk(os.path.join(root, top))
+             for name in sorted(names) if name.endswith(".py")]
+    assert len(paths) >= 20
+    for path in paths:
+        with open(path, encoding="utf-8") as f:
+            ast.parse(f.read(), path, feature_version=version)
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n",
+                  feature_version=version)
